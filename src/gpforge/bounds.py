@@ -34,7 +34,6 @@ class FidelitySpec:
     D            number of random features (even)
     Q            number of quadrature nodes
     J            Krylov iteration cap
-    extra_const  catch-all constant for the looser asymptotic bounds
     """
 
     epsilon: float | None = None
@@ -44,7 +43,6 @@ class FidelitySpec:
     D: int | None = None
     Q: int | None = None
     J: int | None = None
-    extra_const: float = 0.0
 
     def __post_init__(self) -> None:
         if self.epsilon is not None and not 0 < self.epsilon <= 1:
@@ -83,12 +81,12 @@ class FidelitySpec:
         epsilon: float,
         eta: float = 0.5,
         delta_Q: float | None = None,
-        extra_const: float = 0.0,
     ) -> "FidelitySpec":
         """Fill Q and J from the quadrature and iteration calculators.
 
         delta_Q defaults to half its cap so the quadrature and Krylov
-        error budgets are split evenly.
+        error budgets are split evenly. This is the one place that
+        defaults delta_Q and checks it against its cap.
         """
         sigma_xi = math.sqrt(params.noise_variance)
         cap = epsilon * sigma_xi * math.sqrt(1.0 - eta)
@@ -101,9 +99,7 @@ class FidelitySpec:
             )
         Q = ciq_min_quadrature(n, eta, params.noise_variance, delta_Q)
         J = ciq_min_iterations(n, eta, params.noise_variance, epsilon, delta_Q, Q)
-        return cls(
-            epsilon=epsilon, delta_Q=delta_Q, eta=eta, Q=Q, J=J, extra_const=extra_const
-        )
+        return cls(epsilon=epsilon, delta_Q=delta_Q, eta=eta, Q=Q, J=J)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.special
 
 from . import _streams
 from .bounds import FidelitySpec
@@ -21,10 +22,7 @@ from .exact import GpSample, SampleMethod
 from .kernel import GramMatrix, InputData, KernelParams, gram
 from .precond import NystromPreconditioner, apply_shifted_inverse, nystrom_factor
 
-# AGM-style iterations converge quadratically; these caps are generous
-# and the relative thresholds sit a few ulp above what float64 reaches
-_AGM_TOL = 4e-16
-_AGM_MAX_ITER = 64
+# Krylov breakdown threshold, a few ulp above what float64 reaches
 _BREAKDOWN_REL = 1e-14
 
 
@@ -62,48 +60,15 @@ def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind with modulus k."""
     if not 0 <= k < 1:
         raise ValueError(f"modulus must lie in [0, 1), got {k}")
-    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_TOL * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
-
-
-def _jacobi_sn_cn_dn(t: float, k: float) -> tuple[float, float, float]:
-    """Jacobi sn, cn, dn via the descending Landen transformation."""
-    if k < 1e-14:
-        return math.sin(t), math.cos(t), 1.0
-    a_list = [1.0]
-    c_list = [k]
-    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
-    n = 0
-    while c_list[n] > _AGM_TOL * a_list[n] and n < _AGM_MAX_ITER:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a_list[n] - b)
-        a_list.append(a)
-        c_list.append(c)
-        n += 1
-    phi = (2.0**n) * a_list[n] * t
-    phi_next = phi
-    for i in range(n, 0, -1):
-        s = c_list[i] / a_list[i] * math.sin(phi)
-        phi_prev = 0.5 * (phi + math.asin(max(-1.0, min(1.0, s))))
-        phi_next, phi = phi, phi_prev
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    if n >= 1:
-        dn = cn / math.cos(phi_next - phi)
-    else:
-        dn = math.sqrt(max(0.0, 1.0 - k * k * sn * sn))
-    return sn, cn, dn
+    return float(scipy.special.ellipkm1((1.0 - k) * (1.0 + k)))
 
 
 def jacobi_cn_dn(t: float, k: float) -> tuple[float, float]:
     """Jacobi elliptic cn(t, k) and dn(t, k)."""
     if not 0 <= k < 1:
         raise ValueError(f"modulus must lie in [0, 1), got {k}")
-    _, cn, dn = _jacobi_sn_cn_dn(t, k)
-    return cn, dn
+    _, cn, dn, _ = scipy.special.ellipj(t, k * k)
+    return float(cn), float(dn)
 
 
 def build_quadrature(lambda_min: float, lambda_max: float, Q: int) -> QuadratureScheme:
@@ -112,7 +77,7 @@ def build_quadrature(lambda_min: float, lambda_max: float, Q: int) -> Quadrature
     Nodes sit at midpoints (q - 1/2) K'/Q of the complementary elliptic
     quarter period, mapped onto shifts lambda_min * (sn/cn)^2 with
     weights 2 K' sqrt(lambda_min) dn / (pi Q cn^2), all at the
-    complementary modulus sqrt(1 - lambda_min/lambda_max).
+    complementary parameter 1 - lambda_min/lambda_max.
     """
     if not 0 < lambda_min <= lambda_max:
         raise ValueError(
@@ -121,33 +86,22 @@ def build_quadrature(lambda_min: float, lambda_max: float, Q: int) -> Quadrature
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     ratio = lambda_min / lambda_max
-    k_comp = math.sqrt(max(0.0, 1.0 - ratio))
-    Kp = elliptic_K(k_comp)
-    shifts = np.empty(Q)
-    weights = np.empty(Q)
-    for q in range(Q):
-        t_q = (q + 0.5) * Kp / Q
-        sn, cn, dn = _jacobi_sn_cn_dn(t_q, k_comp)
-        shifts[q] = lambda_min * (sn / cn) ** 2
-        weights[q] = (2.0 * Kp * math.sqrt(lambda_min) / (math.pi * Q)) * dn / cn**2
+    Kp = float(scipy.special.ellipkm1(ratio))
+    t = (np.arange(Q) + 0.5) * Kp / Q
+    sn, cn, dn, _ = scipy.special.ellipj(t, 1.0 - ratio)
     return QuadratureScheme(
         Q=Q,
-        shifts=shifts,
-        weights=weights,
+        shifts=lambda_min * (sn / cn) ** 2,
+        weights=(2.0 * Kp * math.sqrt(lambda_min) / (math.pi * Q)) * dn / cn**2,
         lambda_min=float(lambda_min),
         lambda_max=float(lambda_max),
     )
 
 
-MatVec = Callable[[np.ndarray], np.ndarray]
-
-
-def _as_matvec(K_op) -> MatVec:
+def _as_matvec(K_op) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(K_op, GramMatrix):
         entries = K_op.entries
         return lambda v: entries @ v
-    if callable(K_op):
-        return K_op
     A = np.asarray(K_op, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"operator matrix must be square, got shape {A.shape}")
@@ -155,7 +109,7 @@ def _as_matvec(K_op) -> MatVec:
 
 
 def _msminres(
-    mv: MatVec,
+    mv: Callable[[np.ndarray], np.ndarray],
     shifts: np.ndarray,
     u: np.ndarray,
     J: int,
@@ -229,7 +183,7 @@ def _msminres(
 
 
 def _pcg_single(
-    mv: MatVec,
+    mv: Callable[[np.ndarray], np.ndarray],
     shift: float,
     u: np.ndarray,
     precond: NystromPreconditioner,
@@ -280,13 +234,13 @@ def shifted_solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Approximately solve (shift_q I + K) v_q = u for every shift at once.
 
-    K_op may be a dense matrix, a GramMatrix or a matrix-vector
-    callable. Without a preconditioner all systems share one Krylov
-    basis, costing a single operator product per iteration; with one,
-    each shift gets an independent preconditioned conjugate-gradient
-    solve. Returns the stacked solutions (one row per shift) and a
-    report; on Krylov breakdown the current iterates come back with the
-    report flagging the event instead of raising.
+    K_op may be a dense matrix or a GramMatrix. Without a preconditioner
+    all systems share one Krylov basis, costing a single operator
+    product per iteration; with one, each shift gets an independent
+    preconditioned conjugate-gradient solve. Returns the stacked
+    solutions (one row per shift) and a report; on Krylov breakdown the
+    current iterates come back with the report flagging the event
+    instead of raising.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
@@ -361,7 +315,7 @@ def ciq_sample(
     diagonal before the square root; the remainder is added afterwards
     as independent noise. `precond` may be a ready preconditioner or a
     rank, in which case the factor is built here on the assembled
-    matrix.
+    matrix. The shifted solve's report rides along on the sample.
     """
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -369,7 +323,7 @@ def ciq_sample(
     if isinstance(precond, int):
         precond = nystrom_factor(K, precond)
     u = _streams.stream(seed, _streams.LATENT).standard_normal(X.n)
-    f_hat, _ = ciq_sqrt_mv(K, u, Q, J, precond)
+    f_hat, report = ciq_sqrt_mv(K, u, Q, J, precond)
     xi = _streams.stream(seed, _streams.NOISE).standard_normal(X.n)
     y = f_hat + math.sqrt((1.0 - eta) * params.noise_variance) * xi
     method = SampleMethod.Ciq if precond is None else SampleMethod.CiqPreconditioned
@@ -380,4 +334,5 @@ def ciq_sample(
         params=params,
         fidelity=FidelitySpec(eta=eta, Q=Q, J=J),
         seed=seed,
+        solver=report,
     )

@@ -9,6 +9,7 @@ base seed from both flags and config files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -48,7 +49,8 @@ _CONFIG_KEYS = {
     "base_seed",
     "output",
 }
-_PARAM_KEYS = {"variance", "lengthscale", "noise_variance", "dim"}
+# kernel flag defaults, also filled in under a config file's partial params
+_DEFAULT_PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
 
 _METHOD_NAMES = {
     "exact": SampleMethod.Exact,
@@ -78,23 +80,22 @@ def _resolve_seed(seed: int) -> int:
 
 def _params_from_args(args: argparse.Namespace) -> KernelParams:
     try:
-        return KernelParams(
-            variance=args.variance,
-            lengthscale=args.lengthscale,
-            noise_variance=args.noise_variance,
-            dim=args.dim,
-        )
+        return KernelParams.from_dict({k: getattr(args, k) for k in _DEFAULT_PARAMS.to_dict()})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--variance", type=float, default=1.0, help="signal variance")
-    parser.add_argument("--lengthscale", type=float, default=1.0, help="kernel lengthscale")
+    d = _DEFAULT_PARAMS
+    parser.add_argument("--variance", type=float, default=d.variance, help="signal variance")
     parser.add_argument(
-        "--noise-variance", type=float, default=0.25, help="observation noise variance"
+        "--lengthscale", type=float, default=d.lengthscale, help="kernel lengthscale"
     )
-    parser.add_argument("--dim", type=int, default=2, help="input dimension")
+    parser.add_argument(
+        "--noise-variance", type=float, default=d.noise_variance,
+        help="observation noise variance",
+    )
+    parser.add_argument("--dim", type=int, default=d.dim, help="input dimension")
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -102,7 +103,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     method = _METHOD_NAMES[args.method]
     params = _params_from_args(args)
     sigma_xi2 = params.noise_variance
-    sigma_xi = math.sqrt(sigma_xi2)
     payload: dict[str, object] = {
         "method": args.method,
         "n": args.n,
@@ -129,24 +129,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if method is SampleMethod.Rff:
         payload["D"] = bounds_mod.rff_min_features(args.n, args.eps, args.delta, sigma_xi2)
     elif method in (SampleMethod.Ciq, SampleMethod.CiqPreconditioned):
-        cap = args.eps * sigma_xi * math.sqrt(1.0 - args.eta)
-        delta_Q = args.delta_q if args.delta_q is not None else 0.5 * cap
-        if not 0 < delta_Q < cap:
-            raise UsageError(
-                f"delta_Q={delta_Q} violates 0 < delta_Q < eps*sigma_xi*sqrt(1-eta) = {cap}"
-            )
-        payload["delta_Q"] = delta_Q
-        Q = bounds_mod.ciq_min_quadrature(args.n, args.eta, sigma_xi2, delta_Q)
-        payload["Q"] = Q
-        if method is SampleMethod.Ciq:
-            payload["J"] = bounds_mod.ciq_min_iterations(
-                args.n, args.eta, sigma_xi2, args.eps, delta_Q, Q
-            )
-        else:
+        try:
+            spec = FidelitySpec.for_ciq(args.n, params, args.eps, args.eta, args.delta_q)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        payload.update(delta_Q=spec.delta_Q, Q=spec.Q, J=spec.J)
+        if method is SampleMethod.CiqPreconditioned:
             k = max(1, math.isqrt(args.n))
             lam_kp1 = bounds_mod.belkin_lambda_bound(k + 1, args.n, model)
             payload["J"] = bounds_mod.precond_min_iterations(
-                lam_kp1, args.n, args.eta, sigma_xi2, args.eps, delta_Q, args.c_tilde
+                lam_kp1, args.n, args.eta, sigma_xi2, args.eps, spec.delta_Q, args.c_tilde
             )
     print(json.dumps(payload, indent=None if args.json else 2))
     return 0
@@ -175,27 +167,20 @@ def _write_sample(sample: GpSample, output: str) -> None:
     for i, value in enumerate(sample.y):
         lines.append(f"{i},{_fmt(value)}")
     Path(output).write_text("\n".join(lines) + "\n")
-    fid = sample.fidelity
     sidecar = {
         "method": sample.method.value,
-        "params": {
-            "variance": sample.params.variance,
-            "lengthscale": sample.params.lengthscale,
-            "noise_variance": sample.params.noise_variance,
-            "dim": sample.params.dim,
-        },
-        "fidelity": {
-            "epsilon": fid.epsilon,
-            "delta": fid.delta,
-            "delta_Q": fid.delta_Q,
-            "eta": fid.eta,
-            "D": fid.D,
-            "Q": fid.Q,
-            "J": fid.J,
-        },
+        "params": sample.params.to_dict(),
+        "fidelity": dataclasses.asdict(sample.fidelity),
         "seed": sample.seed,
         "n": sample.n,
     }
+    if sample.solver is not None:
+        sidecar["solver"] = {
+            "iterations": sample.solver.iterations_run,
+            "max_residual": float(np.max(sample.solver.residual_norms)),
+            "converged": bool(np.all(sample.solver.converged)),
+            "breakdown": sample.solver.breakdown,
+        }
     Path(output + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
@@ -249,12 +234,6 @@ def _parse_config_file(path: str) -> dict:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise UsageError(f"unknown config fields: {sorted(unknown)}")
-    if "params" in raw:
-        if not isinstance(raw["params"], dict):
-            raise UsageError("config params must be an object")
-        unknown_params = set(raw["params"]) - _PARAM_KEYS
-        if unknown_params:
-            raise UsageError(f"unknown params fields: {sorted(unknown_params)}")
     return raw
 
 
@@ -279,13 +258,10 @@ def _build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     if "n_list" not in raw or not raw["n_list"]:
         raise UsageError("config needs a nonempty n_list")
     params_raw = raw.get("params", {})
+    if isinstance(params_raw, dict):
+        params_raw = {**_DEFAULT_PARAMS.to_dict(), **params_raw}
     try:
-        params = KernelParams(
-            variance=params_raw.get("variance", 1.0),
-            lengthscale=params_raw.get("lengthscale", 1.0),
-            noise_variance=params_raw.get("noise_variance", 0.25),
-            dim=params_raw.get("dim", 2),
-        )
+        params = KernelParams.from_dict(params_raw)
         config = ExperimentConfig(
             method=_METHOD_NAMES[raw["method"]],
             n_list=tuple(int(v) for v in raw["n_list"]),
@@ -299,7 +275,7 @@ def _build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
             base_seed=_resolve_seed(int(raw.get("base_seed", 0))),
             output=raw.get("output"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     return config
 
@@ -345,13 +321,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"sample file {args.sample} not found")
     if not sidecar_path.exists():
         raise UsageError(f"sidecar {sidecar_path} not found")
-    sidecar = json.loads(sidecar_path.read_text())
-    params = KernelParams(
-        variance=sidecar["params"]["variance"],
-        lengthscale=sidecar["params"]["lengthscale"],
-        noise_variance=sidecar["params"]["noise_variance"],
-        dim=sidecar["params"]["dim"],
-    )
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+        params = KernelParams.from_dict(sidecar["params"])
+        seed = sidecar["seed"] if args.inputs is None else None
+    except KeyError as exc:
+        raise UsageError(f"sidecar {sidecar_path} has no {exc} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed sidecar {sidecar_path}: {exc}") from exc
     rows = sample_path.read_text().splitlines()
     if not rows or rows[0].strip() != "index,y":
         raise UsageError(f"sample file {args.sample} lacks the index,y header")
@@ -359,7 +336,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.inputs is not None:
         X = _load_inputs(args.inputs, params)
     else:
-        X = sample_inputs(len(y), params, sidecar["seed"])
+        X = sample_inputs(len(y), params, seed)
     if X.n != len(y):
         raise UsageError(f"inputs have {X.n} rows but sample has {len(y)}")
     K_xi = gram(X, params, jitter=params.noise_variance)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
@@ -11,6 +12,9 @@ import scipy.linalg
 from . import _streams
 from .bounds import FidelitySpec
 from .kernel import GramMatrix, InputData, KernelParams, gram
+
+if TYPE_CHECKING:
+    from .ciq import SolveReport
 
 
 class SampleMethod(enum.Enum):
@@ -36,7 +40,8 @@ class GpSample:
 
     y is the noisy observed vector; f, when present, is the latent
     function before the final noise stage (only the quadrature sampler
-    separates the two).
+    separates the two); solver, when present, reports how the
+    quadrature sampler's shifted solves ended.
     """
 
     y: np.ndarray
@@ -45,6 +50,7 @@ class GpSample:
     fidelity: FidelitySpec
     seed: int
     f: np.ndarray | None = None
+    solver: SolveReport | None = None
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=np.float64)

@@ -10,7 +10,8 @@ with an additive diagonal jitter supplied at Gram-assembly time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,6 +42,27 @@ class KernelParams:
             raise ValueError(f"noise_variance must be > 0, got {self.noise_variance}")
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValueError(f"dim must be an integer >= 1, got {self.dim}")
+
+    def to_dict(self) -> dict:
+        """The four fields as a JSON-ready dict, in declaration order."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "KernelParams":
+        """Inverse of to_dict: every field present, nothing else.
+
+        Raises ValueError on a non-mapping, a missing key or an unknown key.
+        """
+        if not isinstance(d, Mapping):
+            raise ValueError(f"params must be an object, got {type(d).__name__}")
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in d]
+        if missing:
+            raise ValueError(f"missing params fields: {missing}")
+        unknown = sorted(set(d) - set(names))
+        if unknown:
+            raise ValueError(f"unknown params fields: {unknown}")
+        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import scipy.special
 import scipy.stats
 
 from . import _streams
-from .bounds import ciq_min_quadrature
+from .bounds import FidelitySpec
 from .ciq import ciq_sample
 from .exact import SampleMethod, exact_sample, whiten
 from .kernel import KernelParams, gram, sample_inputs
@@ -76,6 +76,8 @@ class ExperimentConfig:
             )
         if not 0 < self.eta < 1:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
+        if not 0 < self.epsilon <= 1:
+            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -165,13 +167,6 @@ def _resolve_fidelity(config: ExperimentConfig, n: int, raw: float) -> float:
     return raw * scale
 
 
-def _ciq_order(config: ExperimentConfig, n: int) -> int:
-    """Default quadrature order: the sufficient Q at half the error cap."""
-    sigma_xi = math.sqrt(config.params.noise_variance)
-    delta_Q = 0.5 * config.epsilon * sigma_xi * math.sqrt(1.0 - config.eta)
-    return ciq_min_quadrature(n, config.eta, config.params.noise_variance, delta_Q)
-
-
 def _one_repeat(
     config: ExperimentConfig, n: int, fidelity: float | None, seed: int
 ) -> bool:
@@ -187,7 +182,7 @@ def _one_repeat(
         sample = rff_sample(X, params, D, seed)
     else:
         J = max(1, int(round(fidelity)))
-        Q = _ciq_order(config, n)
+        Q = FidelitySpec.for_ciq(n, params, config.epsilon, config.eta).Q
         rank = max(1, int(math.isqrt(n))) if method is SampleMethod.CiqPreconditioned else None
         sample = ciq_sample(X, params, config.eta, Q, J, seed, precond=rank)
     K_xi = gram(X, params, jitter=params.noise_variance)
@@ -348,12 +343,7 @@ def report_to_json(report: ExperimentReport) -> str:
         "config": {
             "method": report.config.method.value,
             "n_list": list(report.config.n_list),
-            "params": {
-                "variance": report.config.params.variance,
-                "lengthscale": report.config.params.lengthscale,
-                "noise_variance": report.config.params.noise_variance,
-                "dim": report.config.params.dim,
-            },
+            "params": report.config.params.to_dict(),
             "fidelity_grid": list(report.config.fidelity_grid),
             "fidelity_as_fraction": report.config.fidelity_as_fraction,
             "eta": report.config.eta,

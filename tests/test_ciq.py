@@ -72,7 +72,7 @@ class TestJacobiCnDn:
     def test_against_arbitrary_precision_oracle(self):
         for k in (0.2, 0.7, 0.95):
             m = k * k
-            for t in (-1.5, 0.4, 2.2):
+            for t in (-1.5, 0.4, 2.2, elliptic_K(k)):
                 cn, dn = jacobi_cn_dn(t, k)
                 assert cn == pytest.approx(float(mpmath.ellipfun("cn", t, m=m)), abs=1e-12)
                 assert dn == pytest.approx(float(mpmath.ellipfun("dn", t, m=m)), abs=1e-12)

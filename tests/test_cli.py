@@ -187,6 +187,55 @@ def test_verify_missing_sidecar_exits_two(tmp_path, capsys):
     assert "sidecar" in err
 
 
+@pytest.mark.parametrize(
+    "damage",
+    ["no params", "no params field", "no seed", "not json"],
+)
+def test_verify_malformed_sidecar_exits_two(tmp_path, capsys, damage):
+    """A damaged sidecar is a usage error with a one-line message."""
+    out = tmp_path / "m.csv"
+    assert run(capsys, "sample", "--method", "exact", "--n", "8", "--output", str(out))[0] == 0
+    sidecar_path = tmp_path / "m.csv.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    if damage == "no params":
+        del sidecar["params"]
+    elif damage == "no params field":
+        del sidecar["params"]["lengthscale"]
+    elif damage == "no seed":
+        del sidecar["seed"]
+    text = "{not json" if damage == "not json" else json.dumps(sidecar)
+    sidecar_path.write_text(text)
+    rc, _, err = run(capsys, "verify", "--sample", str(out))
+    assert rc == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_sample_ciq_sidecar_records_solver(tmp_path, capsys):
+    """A truncated Krylov solve is flagged in the sidecar; the
+    calculator-default iteration cap converges. Exact and rff sidecars
+    carry no solver block."""
+    sidecars = {}
+    for name, extra in [
+        ("short", ["--method", "ciq", "--iterations", "1"]),
+        ("default", ["--method", "ciq"]),
+        ("exact", ["--method", "exact"]),
+        ("rff", ["--method", "rff", "--features", "16"]),
+    ]:
+        out = tmp_path / f"{name}.csv"
+        rc, _, _ = run(capsys, "sample", "--n", "200", "--output", str(out), *extra)
+        assert rc == 0
+        sidecars[name] = json.loads((tmp_path / f"{name}.csv.json").read_text())
+    short = sidecars["short"]["solver"]
+    assert short["iterations"] == 1
+    assert short["converged"] is False and short["max_residual"] > 0.5
+    default = sidecars["default"]["solver"]
+    assert default["converged"] is True and default["breakdown"] is False
+    assert default["iterations"] < sidecars["default"]["fidelity"]["J"]
+    assert default["max_residual"] <= 1e-10
+    assert "solver" not in sidecars["exact"] and "solver" not in sidecars["rff"]
+
+
 def test_experiment_minimal_completes_quickly(tmp_path, capsys):
     out = tmp_path / "exp.csv"
     start = time.monotonic()
@@ -265,6 +314,27 @@ def test_experiment_unknown_config_field_exits_two(tmp_path, capsys):
     )
     assert rc == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"bogus": 1.0}, {"variance": "high"}, [1.0, 1.0, 0.25, 2]],
+    ids=["unknown-field", "wrong-type", "not-an-object"],
+)
+def test_experiment_bad_config_params_exit_two(tmp_path, capsys, params):
+    """A config's partial params get the flag defaults underneath; an
+    unknown field, a value of the wrong type or a non-object is a usage
+    error, never a traceback."""
+    config = tmp_path / "bad.json"
+    config.write_text(
+        json.dumps({"schema_version": 1, "method": "exact", "n_list": [8], "params": params})
+    )
+    rc, _, err = run(
+        capsys,
+        "experiment", "--config", str(config), "--output", str(tmp_path / "o.csv"),
+    )
+    assert rc == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_experiment_wrong_schema_version_exits_two(tmp_path, capsys):

@@ -38,6 +38,25 @@ class TestKernelParams:
         with pytest.raises(ValueError):
             make_params(dim=0)
 
+    def test_dict_round_trip(self):
+        p = make_params(variance=2.0, lengthscale=0.3, noise_variance=0.1, dim=3)
+        d = p.to_dict()
+        assert list(d) == ["variance", "lengthscale", "noise_variance", "dim"]
+        assert KernelParams.from_dict(d) == p
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1.0, 1.0, 0.25, 2],
+            {"variance": 1.0, "lengthscale": 1.0, "noise_variance": 0.25},
+            {"variance": 1.0, "lengthscale": 1.0, "noise_variance": 0.25, "dim": 2, "x": 1},
+        ],
+        ids=["non-mapping", "missing-key", "unknown-key"],
+    )
+    def test_from_dict_rejects_malformed(self, bad):
+        with pytest.raises(ValueError):
+            KernelParams.from_dict(bad)
+
 
 class TestRbf:
     """Pointwise covariance values."""

@@ -140,6 +140,16 @@ class TestExperimentConfig:
                 fidelity_grid=(4.0,),
                 eta=1.0,
             )
+        # epsilon is a TV budget in (0, 1], the rule FidelitySpec applies
+        for epsilon in (0.0, 1.5):
+            with pytest.raises(ValueError, match="epsilon"):
+                ExperimentConfig(
+                    method=SampleMethod.Ciq,
+                    n_list=(16,),
+                    params=PARAMS,
+                    fidelity_grid=(4.0,),
+                    epsilon=epsilon,
+                )
 
 
 class TestRejectionRateExperiment:
