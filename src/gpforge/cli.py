@@ -253,7 +253,7 @@ def _build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         raw["fidelity_as_fraction"] = True
     if "method" not in raw:
         raise UsageError("config needs a method (flag --method or config file)")
-    if raw["method"] not in _METHOD_NAMES:
+    if not isinstance(raw["method"], str) or raw["method"] not in _METHOD_NAMES:
         raise UsageError(f"unknown method {raw['method']!r}")
     if "n_list" not in raw or not raw["n_list"]:
         raise UsageError("config needs a nonempty n_list")
@@ -325,6 +325,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sidecar = json.loads(sidecar_path.read_text())
         params = KernelParams.from_dict(sidecar["params"])
         seed = sidecar["seed"] if args.inputs is None else None
+        if args.inputs is None and type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
     except KeyError as exc:
         raise UsageError(f"sidecar {sidecar_path} has no {exc} field") from exc
     except (TypeError, ValueError) as exc:

@@ -117,6 +117,11 @@ def rbf(x: np.ndarray, x_prime: np.ndarray, params: KernelParams) -> float:
     return float(params.variance * np.exp(-d2 / (2.0 * params.lengthscale**2)))
 
 
+def _draw_inputs(g: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """The next n rows of an input stream, each from Normal(0, I_d / d)."""
+    return g.standard_normal((n, dim)) / np.sqrt(dim)
+
+
 def sample_inputs(n: int, params: KernelParams, seed: int) -> InputData:
     """Draw n i.i.d. input locations from Normal(0, I_d / d).
 
@@ -125,8 +130,7 @@ def sample_inputs(n: int, params: KernelParams, seed: int) -> InputData:
     """
     if n < 1:
         raise ValueError(f"need n >= 1 input points, got {n}")
-    g = _streams.stream(seed, _streams.INPUTS)
-    pts = g.standard_normal((n, params.dim)) / np.sqrt(params.dim)
+    pts = _draw_inputs(_streams.stream(seed, _streams.INPUTS), n, params.dim)
     return InputData(points=pts, seed=seed)
 
 

@@ -1,27 +1,29 @@
 """Random-feature sampler: spectral frequencies, feature map, batch and
 streaming generation.
 
-Both generation paths reduce feature rows against the weight vector in
-fixed-size chunks through the same code path, so the streaming variant
-(which regenerates frequencies on the fly and never holds the full
-feature matrix) emits values bitwise equal to the batch variant.
+Both generation paths reduce blocks of _BLOCK_POINTS points against
+chunks of _CHUNK_ROWS frequency rows, replayed from their streams for
+every block, through one function. Memory is independent of n and D,
+and the streaming variant emits values bitwise equal to the batch one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import _streams
 from .bounds import FidelitySpec
 from .exact import GpSample, SampleMethod
-from .kernel import InputData, KernelParams, sample_inputs
+from .kernel import InputData, KernelParams, _draw_inputs
 
-# frequency rows per reduction chunk; fixed so chunk boundaries (and
-# therefore floating-point accumulation order) never depend on n or D
+# frequency rows per reduction chunk and points per reduction block;
+# fixed so chunk and block edges (and therefore floating-point
+# accumulation order) never depend on n or D
 _CHUNK_ROWS = 256
+_BLOCK_POINTS = 64
 
 
 class PartialOutputError(RuntimeError):
@@ -58,22 +60,25 @@ class FrequencyMatrix:
         return self.omegas.shape[1]
 
 
+def _draw_frequencies(g: np.random.Generator, rows: int, params: KernelParams) -> np.ndarray:
+    """The next `rows` rows of a frequency stream, each from Normal(0, I_d / l^2)."""
+    return g.standard_normal((rows, params.dim)) / params.lengthscale
+
+
 def sample_frequencies(D: int, params: KernelParams, seed: int) -> FrequencyMatrix:
     """Draw D/2 frequency rows from the spectral density Normal(0, I_d / l^2)."""
-    if D < 2 or D % 2 != 0:
-        raise ValueError(f"D must be an even count >= 2, got {D}")
+    FidelitySpec(D=D)  # rejects an odd or too small D
     g = _streams.stream(seed, _streams.FREQUENCIES)
-    om = g.standard_normal((D // 2, params.dim)) / params.lengthscale
-    return FrequencyMatrix(omegas=om, seed=seed)
+    return FrequencyMatrix(omegas=_draw_frequencies(g, D // 2, params), seed=seed)
 
 
-def _feature_rows(x: np.ndarray, omegas: np.ndarray, D: int) -> np.ndarray:
-    """Interleaved sqrt(2/D)*(sin, cos) features of x against the given rows."""
-    proj = omegas @ x
-    out = np.empty(2 * omegas.shape[0])
+def _feature_rows(X: np.ndarray, omegas: np.ndarray, D: int) -> np.ndarray:
+    """Interleaved sqrt(2/D)*(sin, cos) features of each row of X."""
+    proj = X @ omegas.T
+    out = np.empty((X.shape[0], 2 * omegas.shape[0]))
     scale = np.sqrt(2.0 / D)
-    out[0::2] = scale * np.sin(proj)
-    out[1::2] = scale * np.cos(proj)
+    out[:, 0::2] = scale * np.sin(proj)
+    out[:, 1::2] = scale * np.cos(proj)
     return out
 
 
@@ -84,17 +89,28 @@ def feature_map(x: np.ndarray, freqs: FrequencyMatrix) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: x has length {x.shape[0]}, frequencies have d={freqs.dim}"
         )
-    return _feature_rows(x, freqs.omegas, freqs.D)
+    return _feature_rows(x[None, :], freqs.omegas, freqs.D)[0]
 
 
-def _reduce_row(x: np.ndarray, omegas: np.ndarray, w: np.ndarray, D: int) -> float:
-    """Chunked dot product of the feature row at x with the weight vector."""
-    acc = 0.0
-    for start in range(0, omegas.shape[0], _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, omegas.shape[0])
-        z_chunk = _feature_rows(x, omegas[start:stop], D)
-        acc += float(np.dot(z_chunk, w[2 * start : 2 * stop]))
-    return acc
+def _reduce_blocks(
+    blocks: Iterable[np.ndarray], params: KernelParams, D: int, seed: int
+) -> Iterator[np.ndarray]:
+    """Yield sigma_f * Z w for each block of points, Z the block's features.
+
+    The frequency and weight streams are replayed from the start for
+    every block, one chunk of _CHUNK_ROWS frequency rows at a time.
+    """
+    n_rows = D // 2
+    sigma_f = np.sqrt(params.variance)
+    for x in blocks:
+        freq_stream = _streams.stream(seed, _streams.FREQUENCIES)
+        weight_stream = _streams.stream(seed, _streams.WEIGHTS)
+        acc = np.zeros(x.shape[0])
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            rows = min(_CHUNK_ROWS, n_rows - start)
+            z = _feature_rows(x, _draw_frequencies(freq_stream, rows, params), D)
+            acc += z @ weight_stream.standard_normal(2 * rows)
+        yield sigma_f * acc
 
 
 def rff_sample(X: InputData, params: KernelParams, D: int, seed: int) -> GpSample:
@@ -103,12 +119,10 @@ def rff_sample(X: InputData, params: KernelParams, D: int, seed: int) -> GpSampl
     y = sigma_f * Z w + xi with Z the feature matrix of X, w a standard
     normal weight vector and xi independent observation noise.
     """
-    freqs = sample_frequencies(D, params, seed)
-    w = _streams.stream(seed, _streams.WEIGHTS).standard_normal(D)
-    sigma_f = np.sqrt(params.variance)
-    f = np.empty(X.n)
-    for i in range(X.n):
-        f[i] = sigma_f * _reduce_row(X.points[i], freqs.omegas, w, D)
+    fidelity = FidelitySpec(D=D)  # rejects an odd or too small D
+    blocks = (X.points[s : s + _BLOCK_POINTS] for s in range(0, X.n, _BLOCK_POINTS))
+    # the empty head keeps an empty X valid
+    f = np.concatenate([np.empty(0), *_reduce_blocks(blocks, params, D, seed)])
     xi = _streams.stream(seed, _streams.NOISE).standard_normal(X.n)
     y = f + np.sqrt(params.noise_variance) * xi
     return GpSample(
@@ -116,7 +130,7 @@ def rff_sample(X: InputData, params: KernelParams, D: int, seed: int) -> GpSampl
         f=f,
         method=SampleMethod.Rff,
         params=params,
-        fidelity=FidelitySpec(D=D),
+        fidelity=fidelity,
         seed=seed,
     )
 
@@ -130,38 +144,29 @@ def rff_sample_streaming(
 ) -> None:
     """Emit a random-feature sample one element at a time.
 
-    Inputs, frequencies, weights and noise are all regenerated from
-    their seed-derived streams in fixed chunks, so peak memory is
+    Inputs and noise are drawn from their seed-derived streams one
+    block of _BLOCK_POINTS points at a time, and each block goes
+    through the same chunked reduction as rff_sample, so peak memory is
     independent of both n and D and the emitted values equal
     rff_sample(sample_inputs(n, params, seed), params, D, seed).y
     bitwise.
     """
-    if D < 2 or D % 2 != 0:
-        raise ValueError(f"D must be an even count >= 2, got {D}")
+    FidelitySpec(D=D)  # rejects an odd or too small D
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    n_rows = D // 2
-    sigma_f = np.sqrt(params.variance)
     sigma_xi = np.sqrt(params.noise_variance)
     input_stream = _streams.stream(seed, _streams.INPUTS)
     noise_stream = _streams.stream(seed, _streams.NOISE)
-    sqrt_d = np.sqrt(params.dim)
-    for i in range(n):
-        x_i = input_stream.standard_normal(params.dim) / sqrt_d
-        freq_stream = _streams.stream(seed, _streams.FREQUENCIES)
-        weight_stream = _streams.stream(seed, _streams.WEIGHTS)
-        acc = 0.0
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, n_rows)
-            omega_chunk = (
-                freq_stream.standard_normal((stop - start, params.dim))
-                / params.lengthscale
-            )
-            w_chunk = weight_stream.standard_normal(2 * (stop - start))
-            z_chunk = _feature_rows(x_i, omega_chunk, D)
-            acc += float(np.dot(z_chunk, w_chunk))
-        y_i = sigma_f * acc + sigma_xi * float(noise_stream.standard_normal())
-        try:
-            sink(i, float(y_i))
-        except Exception as exc:
-            raise PartialOutputError(emitted=i, cause=exc) from exc
+    blocks = (
+        _draw_inputs(input_stream, min(_BLOCK_POINTS, n - s), params.dim)
+        for s in range(0, n, _BLOCK_POINTS)
+    )
+    first = 0
+    for f_block in _reduce_blocks(blocks, params, D, seed):
+        y_block = f_block + sigma_xi * noise_stream.standard_normal(f_block.shape[0])
+        for i, y_i in enumerate(y_block.tolist(), first):
+            try:
+                sink(i, y_i)
+            except Exception as exc:
+                raise PartialOutputError(emitted=i, cause=exc) from exc
+        first += f_block.shape[0]

@@ -158,8 +158,8 @@ def fidelity_rescaler(method: SampleMethod, n: int) -> float | None:
     return None
 
 
-def _resolve_fidelity(config: ExperimentConfig, n: int, raw: float) -> float:
-    if not config.fidelity_as_fraction:
+def _resolve_fidelity(config: ExperimentConfig, n: int, raw: float | None) -> float | None:
+    if raw is None or not config.fidelity_as_fraction:
         return raw
     scale = fidelity_rescaler(config.method, n)
     if scale is None:
@@ -246,53 +246,38 @@ def rejection_rate_experiment(
     baseline is measured at every n for reference. A failing cell is
     recorded as failed and the sweep continues.
     """
-    method_label = config.method.value
-    grid: list[tuple[int, float | None, int]] = []
-    cell_index = 0
-    for n in config.n_list:
-        if config.method is SampleMethod.Exact:
-            grid.append((n, None, cell_index))
-            cell_index += 1
-        else:
-            for raw in config.fidelity_grid:
-                grid.append((n, _resolve_fidelity(config, n, raw), cell_index))
-                cell_index += 1
+    fidelities = (None,) if config.method is SampleMethod.Exact else config.fidelity_grid
+    cells_in_grid = [(n, raw) for n in config.n_list for raw in fidelities]
+    tasks = [
+        (config, n, _resolve_fidelity(config, n, raw), idx, config.method.value, 0)
+        for idx, (n, raw) in enumerate(cells_in_grid)
+    ]
+    if config.method is not SampleMethod.Exact:
+        # the exact grid is its own baseline; other methods get one exact cell per n
+        baseline_config = ExperimentConfig(
+            method=SampleMethod.Exact,
+            n_list=config.n_list,
+            params=config.params,
+            alpha=config.alpha,
+            repeats=config.repeats,
+            base_seed=config.base_seed,
+        )
+        tasks += [
+            (baseline_config, n, None, idx, "exact", _BASELINE_TAG)
+            for idx, n in enumerate(config.n_list)
+        ]
 
-    def run_grid_cell(item: tuple[int, float | None, int]) -> ExperimentCell:
-        n, fidelity, idx = item
-        return _run_cell(config, n, fidelity, idx, method_label)
+    def run_task(task: tuple) -> ExperimentCell:
+        return _run_cell(*task)
 
-    if config.method is SampleMethod.Exact:
-        # the grid itself measures the Cholesky baseline; no second pass
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                cells = list(pool.map(run_grid_cell, grid))
-        else:
-            cells = [run_grid_cell(item) for item in grid]
-        return ExperimentReport(config=config, cells=tuple(cells), baseline=tuple(cells))
-
-    baseline_config = ExperimentConfig(
-        method=SampleMethod.Exact,
-        n_list=config.n_list,
-        params=config.params,
-        alpha=config.alpha,
-        repeats=config.repeats,
-        base_seed=config.base_seed,
-    )
-
-    def run_baseline_cell(item: tuple[int, int]) -> ExperimentCell:
-        n, idx = item
-        return _run_cell(baseline_config, n, None, idx, "exact", seed_tag=_BASELINE_TAG)
-
-    baseline_items = [(n, idx) for idx, n in enumerate(config.n_list)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(run_grid_cell, grid))
-            baseline = list(pool.map(run_baseline_cell, baseline_items))
+            results = list(pool.map(run_task, tasks))
     else:
-        cells = [run_grid_cell(item) for item in grid]
-        baseline = [run_baseline_cell(item) for item in baseline_items]
-    return ExperimentReport(config=config, cells=tuple(cells), baseline=tuple(baseline))
+        results = [run_task(task) for task in tasks]
+    cells = tuple(results[: len(cells_in_grid)])
+    baseline = tuple(results[len(cells_in_grid) :]) or cells
+    return ExperimentReport(config=config, cells=cells, baseline=baseline)
 
 
 def _format_value(value: float | None) -> str:

@@ -189,10 +189,20 @@ def test_verify_missing_sidecar_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "damage",
-    ["no params", "no params field", "no seed", "not json"],
+    [
+        "no params",
+        "no params field",
+        "no seed",
+        "not json",
+        "seed not an integer: string",
+        "seed not an integer: float",
+        "seed not an integer: bool",
+    ],
 )
 def test_verify_malformed_sidecar_exits_two(tmp_path, capsys, damage):
-    """A damaged sidecar is a usage error with a one-line message."""
+    """A damaged sidecar is a usage error with a one-line message. A
+    seed that is not a JSON integer is refused rather than coerced, so
+    verify never tests against inputs the sidecar did not name."""
     out = tmp_path / "m.csv"
     assert run(capsys, "sample", "--method", "exact", "--n", "8", "--output", str(out))[0] == 0
     sidecar_path = tmp_path / "m.csv.json"
@@ -203,6 +213,9 @@ def test_verify_malformed_sidecar_exits_two(tmp_path, capsys, damage):
         del sidecar["params"]["lengthscale"]
     elif damage == "no seed":
         del sidecar["seed"]
+    elif damage.startswith("seed not an integer"):
+        kind = damage.split(": ")[1]
+        sidecar["seed"] = {"string": "abc", "float": 1.7, "bool": True}[kind]
     text = "{not json" if damage == "not json" else json.dumps(sidecar)
     sidecar_path.write_text(text)
     rc, _, err = run(capsys, "verify", "--sample", str(out))
@@ -329,6 +342,19 @@ def test_experiment_bad_config_params_exit_two(tmp_path, capsys, params):
     config.write_text(
         json.dumps({"schema_version": 1, "method": "exact", "n_list": [8], "params": params})
     )
+    rc, _, err = run(
+        capsys,
+        "experiment", "--config", str(config), "--output", str(tmp_path / "o.csv"),
+    )
+    assert rc == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_experiment_non_string_method_exits_two(tmp_path, capsys):
+    """A config method that is not a string (here an unhashable list) is
+    a usage error with a one-line message, never a traceback."""
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"schema_version": 1, "method": ["rff"], "n_list": [8]}))
     rc, _, err = run(
         capsys,
         "experiment", "--config", str(config), "--output", str(tmp_path / "o.csv"),

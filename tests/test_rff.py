@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpforge import (
     KernelParams,
@@ -20,6 +22,8 @@ from gpforge import (
     sample_frequencies,
     sample_inputs,
 )
+from gpforge._streams import WEIGHTS, stream
+from gpforge.rff import _BLOCK_POINTS, _CHUNK_ROWS
 
 PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
 
@@ -115,6 +119,20 @@ class TestRffSample:
         with pytest.raises(ValueError):
             rff_sample(X, PARAMS, 9, seed=0)
 
+    def test_reduction_matches_feature_matrix(self):
+        """The block-and-chunk reduction computes sigma_f * Z w for the
+        feature matrix Z built point by point from sample_frequencies
+        and the weight stream, up to the rounding bound of a length-D
+        dot product, with n and D/2 past their block and chunk sizes."""
+        p = KernelParams(variance=2.0, lengthscale=0.7, noise_variance=0.25, dim=3)
+        n, D, seed = 2 * _BLOCK_POINTS + 7, 2 * (_CHUNK_ROWS + 9), 77
+        X = sample_inputs(n, p, seed=seed)
+        Z = np.stack([feature_map(x, sample_frequencies(D, p, seed)) for x in X.points])
+        w = stream(seed, WEIGHTS).standard_normal(D)
+        reference = math.sqrt(p.variance) * (Z @ w)
+        bound = D * np.finfo(float).eps * math.sqrt(p.variance) * (np.abs(Z) @ np.abs(w))
+        assert np.all(np.abs(rff_sample(X, p, D, seed).f - reference) <= bound)
+
     def test_scalar_variance_over_many_seeds(self):
         """At n=1 the marginal variance is exactly variance + noise
         because the feature vector has unit norm; check it over 20000
@@ -167,6 +185,23 @@ class TestStreamingEquivalence:
         batch = rff_sample(X, PARAMS, D, seed=seed)
         streamed = self.collect(n, D, seed)
         np.testing.assert_array_equal(np.array([v for _, v in streamed]), batch.y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 3 * _BLOCK_POINTS),
+        pairs=st.integers(1, 2 * _CHUNK_ROWS + 8),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    @example(n=2 * _BLOCK_POINTS + 5, pairs=_CHUNK_ROWS + 3, seed=0)
+    @example(n=_BLOCK_POINTS + 1, pairs=2 * _CHUNK_ROWS + 1, seed=1)
+    def test_matches_batch_for_random_sizes(self, n, pairs, seed):
+        """Bitwise equality holds for any (n, D, seed), including a
+        partial point block after full ones and a partial frequency
+        chunk after full ones."""
+        D = 2 * pairs
+        batch = rff_sample(sample_inputs(n, PARAMS, seed), PARAMS, D, seed)
+        streamed = np.array([v for _, v in self.collect(n, D, seed)])
+        assert np.array_equal(streamed, batch.y)
 
     def test_single_element(self):
         streamed = self.collect(1, 16, 5)
