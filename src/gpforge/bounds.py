@@ -23,7 +23,8 @@ class FidelitySpec:
 
     Fields that do not apply to a given sampler are left as None: an
     exact Cholesky draw carries no parameters at all, a random-feature
-    draw populates D, a quadrature draw populates eta, Q and J.
+    draw populates D, a quadrature draw populates eta, Q and J, and a
+    preconditioned quadrature draw adds rank.
 
     epsilon      total-variation budget, in (0, 1]
     delta        failure probability of the random-feature guarantee
@@ -34,6 +35,8 @@ class FidelitySpec:
     D            number of random features (even)
     Q            number of quadrature nodes
     J            Krylov iteration cap
+    rank         Nystrom preconditioner rank; a sample records the rank
+                 the factor reached, which may fall below the request
     """
 
     epsilon: float | None = None
@@ -43,6 +46,7 @@ class FidelitySpec:
     D: int | None = None
     Q: int | None = None
     J: int | None = None
+    rank: int | None = None
 
     def __post_init__(self) -> None:
         if self.epsilon is not None and not 0 < self.epsilon <= 1:
@@ -59,6 +63,8 @@ class FidelitySpec:
             raise ValueError(f"Q must be >= 1, got {self.Q}")
         if self.J is not None and self.J < 1:
             raise ValueError(f"J must be >= 1, got {self.J}")
+        if self.rank is not None and self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
 
     @classmethod
     def for_exact(cls) -> "FidelitySpec":
@@ -88,6 +94,7 @@ class FidelitySpec:
         error budgets are split evenly. This is the one place that
         defaults delta_Q and checks it against its cap.
         """
+        cls(epsilon=epsilon, eta=eta)  # rejects either out of range before sqrt(1 - eta)
         sigma_xi = math.sqrt(params.noise_variance)
         cap = epsilon * sigma_xi * math.sqrt(1.0 - eta)
         if delta_Q is None:
@@ -125,30 +132,17 @@ def _ceil_even(x: float) -> int:
     return d if d % 2 == 0 else d + 1
 
 
-def rff_min_features(
-    n: int,
-    epsilon: float,
-    delta: float,
-    sigma_xi2: float,
-    simplified: bool = False,
-) -> int:
-    """Smallest even feature count sufficient for the elementwise guarantee.
-
-    The default keeps the published prefactor verbatim,
-    D >= 8*log(n/sqrt(delta))*n^2 / (8*eps^2*sigma_xi^4); `simplified`
-    evaluates the cancelled form instead. The two agree numerically and
-    both are exposed for sensitivity studies.
+def rff_min_features(n: int, epsilon: float, delta: float, sigma_xi2: float) -> int:
+    """Smallest even feature count sufficient for the elementwise guarantee,
+    D >= 8*log(n/sqrt(delta))*n^2 / (8*eps^2*sigma_xi^4), with the
+    published prefactor kept verbatim.
     """
     if n < 1 or epsilon <= 0 or sigma_xi2 <= 0:
         raise ValueError("n, epsilon and sigma_xi2 must be positive")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     log_term = math.log(n / math.sqrt(delta))
-    if simplified:
-        raw = log_term * n**2 / (epsilon**2 * sigma_xi2**2)
-    else:
-        raw = 8.0 * log_term * n**2 / (8.0 * epsilon**2 * sigma_xi2**2)
-    return _ceil_even(raw)
+    return _ceil_even(8.0 * log_term * n**2 / (8.0 * epsilon**2 * sigma_xi2**2))
 
 
 def rff_element_budget(n: int, epsilon: float, sigma_xi2: float) -> float:

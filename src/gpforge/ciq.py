@@ -315,7 +315,8 @@ def ciq_sample(
     diagonal before the square root; the remainder is added afterwards
     as independent noise. `precond` may be a ready preconditioner or a
     rank, in which case the factor is built here on the assembled
-    matrix. The shifted solve's report rides along on the sample.
+    matrix. The sample's fidelity records the rank the factor reached,
+    and the shifted solve's report rides along.
     """
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -327,12 +328,13 @@ def ciq_sample(
     xi = _streams.stream(seed, _streams.NOISE).standard_normal(X.n)
     y = f_hat + math.sqrt((1.0 - eta) * params.noise_variance) * xi
     method = SampleMethod.Ciq if precond is None else SampleMethod.CiqPreconditioned
+    rank = None if precond is None else precond.rank
     return GpSample(
         y=y,
         f=f_hat,
         method=method,
         params=params,
-        fidelity=FidelitySpec(eta=eta, Q=Q, J=J),
+        fidelity=FidelitySpec(eta=eta, Q=Q, J=J, rank=rank),
         seed=seed,
         solver=report,
     )

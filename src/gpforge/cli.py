@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,34 +22,21 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import precond as precond_mod
 from .bounds import DecayModel, FidelitySpec
-from .ciq import ciq_sample
-from .exact import GpSample, SampleMethod, exact_sample, whiten
+from .exact import GpSample, SampleMethod, whiten
 from .kernel import InputData, KernelParams, gram, sample_inputs
-from .rff import rff_sample
 from .stats import (
     ExperimentConfig,
     cvm_test,
+    draw,
     rejection_rate_experiment,
     report_csv_lines,
     report_to_json,
+    resolve_fidelity,
 )
 
 SCHEMA_VERSION = 1
 
-_CONFIG_KEYS = {
-    "schema_version",
-    "method",
-    "n_list",
-    "params",
-    "fidelity_grid",
-    "fidelity_as_fraction",
-    "eta",
-    "alpha",
-    "epsilon",
-    "repeats",
-    "base_seed",
-    "output",
-}
+_CONFIG_KEYS = {"schema_version"} | {f.name for f in dataclasses.fields(ExperimentConfig)}
 # kernel flag defaults, also filled in under a config file's partial params
 _DEFAULT_PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
 
@@ -113,53 +101,58 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "D": None,
         "Q": None,
         "J": None,
-        "kappa_bound": bounds_mod.condition_number_bound(
-            args.n, args.eta, sigma_xi2, params.variance
-        ),
+        "kappa_bound": None,
         "regime": None,
     }
     try:
+        FidelitySpec(epsilon=args.eps, delta=args.delta)  # refuses a bad budget for any method
+        payload["kappa_bound"] = bounds_mod.condition_number_bound(
+            args.n, args.eta, sigma_xi2, params.variance
+        )
         model = DecayModel(
             c1=args.c1, c2=args.c2, sigma_f=math.sqrt(params.variance), dim=params.dim
         )
+        payload["regime"] = bounds_mod.decay_regime(args.n, model)[1]
+        if method is SampleMethod.Rff:
+            payload["D"] = FidelitySpec.for_rff(args.n, params, args.eps, args.delta).D
+        elif method in (SampleMethod.Ciq, SampleMethod.CiqPreconditioned):
+            spec = FidelitySpec.for_ciq(args.n, params, args.eps, args.eta, args.delta_q)
+            payload.update(delta_Q=spec.delta_Q, Q=spec.Q, J=spec.J)
+            if method is SampleMethod.CiqPreconditioned:
+                k = precond_mod.default_rank(args.n)
+                lam_kp1 = bounds_mod.belkin_lambda_bound(k + 1, args.n, model)
+                payload["J"] = bounds_mod.precond_min_iterations(
+                    lam_kp1, args.n, args.eta, sigma_xi2, args.eps, spec.delta_Q, args.c_tilde
+                )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _, regime, _ = bounds_mod.decay_regime(args.n, model)
-    payload["regime"] = regime
-    if method is SampleMethod.Rff:
-        payload["D"] = bounds_mod.rff_min_features(args.n, args.eps, args.delta, sigma_xi2)
-    elif method in (SampleMethod.Ciq, SampleMethod.CiqPreconditioned):
-        try:
-            spec = FidelitySpec.for_ciq(args.n, params, args.eps, args.eta, args.delta_q)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        payload.update(delta_Q=spec.delta_Q, Q=spec.Q, J=spec.J)
-        if method is SampleMethod.CiqPreconditioned:
-            k = max(1, math.isqrt(args.n))
-            lam_kp1 = bounds_mod.belkin_lambda_bound(k + 1, args.n, model)
-            payload["J"] = bounds_mod.precond_min_iterations(
-                lam_kp1, args.n, args.eta, sigma_xi2, args.eps, spec.delta_Q, args.c_tilde
-            )
     print(json.dumps(payload, indent=None if args.json else 2))
     return 0
 
 
-def _load_inputs(path: str, params: KernelParams) -> InputData:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise UsageError(f"inputs file {path} is empty")
-    header = lines[0].strip().split(",")
-    expected = [f"x{i}" for i in range(params.dim)]
-    if header != expected:
-        raise UsageError(
-            f"inputs file header {header} does not match dimension {params.dim}"
-        )
-    pts = np.array(
-        [[float(v) for v in line.split(",")] for line in lines[1:] if line.strip()]
-    )
-    if pts.ndim != 2 or pts.shape[1] != params.dim:
-        raise UsageError(f"inputs file {path} is not an n x {params.dim} table")
-    return InputData(points=pts, seed=None)
+def _read_table(path: str, header: list[str]) -> np.ndarray:
+    """Rows of finite numbers from a CSV file whose first line is `header`.
+
+    A missing file, another header, a ragged row, a non-numeric or
+    non-finite cell, or no data row at all is a usage error.
+    """
+    try:
+        with open(path) as f:
+            found = f.readline().strip()
+            if found.split(",") != header:
+                raise UsageError(f"{path} has header {found!r}, expected {','.join(header)!r}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows: refused below
+                table = np.loadtxt(f, delimiter=",", ndmin=2)
+    except UsageError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    if table.shape[0] == 0 or table.shape[1] != len(header):
+        raise UsageError(f"{path} must hold rows of {len(header)} numbers below its header")
+    if not np.all(np.isfinite(table)):
+        raise UsageError(f"{path} holds a non-finite cell")
+    return table
 
 
 def _write_sample(sample: GpSample, output: str) -> None:
@@ -189,34 +182,30 @@ def cmd_sample(args: argparse.Namespace) -> int:
     method = _METHOD_NAMES[args.method]
     params = _params_from_args(args)
     seed = _resolve_seed(args.seed)
+    n, X = args.n, None
     if args.inputs is not None:
-        X = _load_inputs(args.inputs, params)
+        points = _read_table(args.inputs, [f"x{i}" for i in range(params.dim)])
+        X = InputData(points=points, seed=None)
         if args.n is not None and args.n != X.n:
             raise UsageError(f"--n {args.n} contradicts inputs file with {X.n} rows")
-    else:
-        if args.n is None:
-            raise UsageError("either --n or --inputs is required")
-        X = sample_inputs(args.n, params, seed)
-    if method is SampleMethod.Exact:
-        sample = exact_sample(X, params, seed)
-    elif method is SampleMethod.Rff:
+        n = X.n
+    elif args.n is None:
+        raise UsageError("either --n or --inputs is required")
+    if method is SampleMethod.Rff:
         if args.features is None:
             raise UsageError("--features is required for the rff method")
         if args.features % 2 != 0 or args.features < 2:
             raise UsageError(f"--features must be an even count >= 2, got {args.features}")
-        sample = rff_sample(X, params, args.features, seed)
-    else:
-        eta = args.eta
-        Q, J = args.quadrature, args.iterations
-        if Q is None or J is None:
-            spec = FidelitySpec.for_ciq(X.n, params, epsilon=args.eps, eta=eta)
-            Q = Q if Q is not None else spec.Q
-            J = J if J is not None else spec.J
-        rank = None
-        if method is SampleMethod.CiqPreconditioned:
-            rank = args.rank if args.rank is not None else max(1, math.isqrt(X.n))
-        sample = ciq_sample(X, params, eta, Q, J, seed, precond=rank)
-    _write_sample(sample, args.output)
+    try:
+        fidelity = resolve_fidelity(
+            method, n, params, D=args.features, Q=args.quadrature, J=args.iterations,
+            eta=args.eta, epsilon=args.eps, rank=args.rank,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if X is None:
+        X = sample_inputs(n, params, seed)
+    _write_sample(draw(method, X, params, fidelity, seed), args.output)
     return 0
 
 
@@ -315,10 +304,8 @@ def cmd_precond_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Whiten an existing sample file against its true covariance and test it."""
-    sample_path = Path(args.sample)
+    y = _read_table(args.sample, ["index", "y"])[:, 1]
     sidecar_path = Path(args.sample + ".json")
-    if not sample_path.exists():
-        raise UsageError(f"sample file {args.sample} not found")
     if not sidecar_path.exists():
         raise UsageError(f"sidecar {sidecar_path} not found")
     try:
@@ -331,29 +318,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"sidecar {sidecar_path} has no {exc} field") from exc
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed sidecar {sidecar_path}: {exc}") from exc
-    rows = sample_path.read_text().splitlines()
-    if not rows or rows[0].strip() != "index,y":
-        raise UsageError(f"sample file {args.sample} lacks the index,y header")
-    y = np.array([float(line.split(",")[1]) for line in rows[1:] if line.strip()])
     if args.inputs is not None:
-        X = _load_inputs(args.inputs, params)
+        points = _read_table(args.inputs, [f"x{i}" for i in range(params.dim)])
+        X = InputData(points=points, seed=None)
     else:
         X = sample_inputs(len(y), params, seed)
     if X.n != len(y):
         raise UsageError(f"inputs have {X.n} rows but sample has {len(y)}")
-    K_xi = gram(X, params, jitter=params.noise_variance)
-    z = whiten(y, K_xi)
-    result = cvm_test(z, args.alpha)
-    print(
-        json.dumps(
-            {
-                "statistic": result.statistic,
-                "alpha": result.alpha,
-                "critical_value": result.critical_value,
-                "reject": result.reject,
-            }
-        )
-    )
+    z = whiten(y, gram(X, params, jitter=params.noise_variance))
+    print(json.dumps(dataclasses.asdict(cvm_test(z, args.alpha))))
     return 0
 
 

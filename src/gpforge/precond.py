@@ -7,6 +7,7 @@ Woodbury identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ class NystromPreconditioner:
     @property
     def n(self) -> int:
         return self.factor.shape[0]
+
+
+def default_rank(n: int) -> int:
+    """The preconditioner rank floor(sqrt(n)) that the iteration bound assumes."""
+    return max(1, math.isqrt(n))
 
 
 def nystrom_factor(K: GramMatrix, k: int) -> NystromPreconditioner:
@@ -142,18 +148,15 @@ def effectiveness_sweep(
     lengthscale_grid: list[float],
     params_base: KernelParams,
     seed: int,
-    k_rule=None,
     power_iterations: int = 40,
 ) -> list[tuple[int, float, float]]:
     """Preconditioner quality over a (size, lengthscale) grid.
 
     For each cell, draws inputs, assembles the noisy Gram matrix,
-    builds the rank-floor(sqrt(n)) factor (or k_rule(n)) and reports
-    how far the preconditioned matrix sits from the identity in
-    operator norm. Larger values mean the preconditioner helps less.
+    builds the factor of rank default_rank(n) and reports how far the
+    preconditioned matrix sits from the identity in operator norm.
+    Larger values mean the preconditioner helps less.
     """
-    if k_rule is None:
-        k_rule = lambda n: max(1, int(np.sqrt(n)))
     rows: list[tuple[int, float, float]] = []
     for n in n_list:
         for ls in lengthscale_grid:
@@ -166,7 +169,7 @@ def effectiveness_sweep(
             cell_seed = _streams.derive_seed(seed, n, int(1e9 * ls) & ((1 << 60) - 1))
             X = sample_inputs(n, params, cell_seed)
             K = gram(X, params, jitter=params.noise_variance)
-            P = nystrom_factor(K, k_rule(n))
+            P = nystrom_factor(K, default_rank(n))
             metric = _power_iteration_deviation(
                 K.entries, P, power_iterations, cell_seed
             )

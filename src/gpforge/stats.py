@@ -7,6 +7,7 @@ rejected at the nominal type-I rate, an unfaithful one more often.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -19,8 +20,9 @@ import scipy.stats
 from . import _streams
 from .bounds import FidelitySpec
 from .ciq import ciq_sample
-from .exact import SampleMethod, exact_sample, whiten
-from .kernel import KernelParams, gram, sample_inputs
+from .exact import GpSample, SampleMethod, exact_sample, whiten
+from .kernel import InputData, KernelParams, gram, sample_inputs
+from .precond import default_rank
 from .rff import rff_sample
 
 # asymptotic critical values for the fully specified normal null
@@ -82,6 +84,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentCell:
+    """One grid point. `fidelity` is the grid value (times the growth law
+    for a fractional grid); `ran` is the fidelity the sampler ran at,
+    after rounding and defaults, or None if the value did not resolve."""
+
     n: int
     fidelity: float | None
     rate: float
@@ -92,6 +98,7 @@ class ExperimentCell:
     rescaled_fidelity: float | None
     failed: bool = False
     message: str = ""
+    ran: FidelitySpec | None = None
 
 
 @dataclass(frozen=True)
@@ -158,81 +165,117 @@ def fidelity_rescaler(method: SampleMethod, n: int) -> float | None:
     return None
 
 
-def _resolve_fidelity(config: ExperimentConfig, n: int, raw: float | None) -> float | None:
-    if raw is None or not config.fidelity_as_fraction:
-        return raw
-    scale = fidelity_rescaler(config.method, n)
-    if scale is None:
-        return raw
-    return raw * scale
+def resolve_fidelity(
+    method: SampleMethod,
+    n: int,
+    params: KernelParams,
+    D: int | None = None,
+    Q: int | None = None,
+    J: int | None = None,
+    eta: float = 0.5,
+    epsilon: float = 0.1,
+    rank: int | None = None,
+) -> FidelitySpec:
+    """Check every fidelity value of `method` at size n and fill the defaults.
 
-
-def _one_repeat(
-    config: ExperimentConfig, n: int, fidelity: float | None, seed: int
-) -> bool:
-    """Generate, whiten and test a single draw; True means rejected."""
-    params = config.params
-    X = sample_inputs(n, params, seed)
-    method = config.method
+    rff needs D. ciq and pciq take a missing Q or J from
+    FidelitySpec.for_ciq at budget epsilon, and pciq a missing rank from
+    default_rank(n). Values a method does not use are ignored. Raises
+    ValueError on any invalid value, before any sampling work.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if method is SampleMethod.Exact:
-        sample = exact_sample(X, params, seed)
-    elif method is SampleMethod.Rff:
-        D = max(2, int(round(fidelity)))
-        D += D % 2
-        sample = rff_sample(X, params, D, seed)
-    else:
-        J = max(1, int(round(fidelity)))
-        Q = FidelitySpec.for_ciq(n, params, config.epsilon, config.eta).Q
-        rank = max(1, int(math.isqrt(n))) if method is SampleMethod.CiqPreconditioned else None
-        sample = ciq_sample(X, params, config.eta, Q, J, seed, precond=rank)
-    K_xi = gram(X, params, jitter=params.noise_variance)
-    z = whiten(sample.y, K_xi)
-    return cvm_test(z, config.alpha).reject
+        return FidelitySpec.for_exact()
+    if method is SampleMethod.Rff:
+        if D is None:
+            raise ValueError("the rff method needs a feature count D")
+        return FidelitySpec(D=D)
+    if Q is None or J is None:
+        spec = FidelitySpec.for_ciq(n, params, epsilon, eta)
+        Q = spec.Q if Q is None else Q
+        J = spec.J if J is None else J
+    if method is not SampleMethod.CiqPreconditioned:
+        return FidelitySpec(eta=eta, Q=Q, J=J)
+    rank = default_rank(n) if rank is None else rank
+    if not 1 <= rank <= n:
+        raise ValueError(f"rank must satisfy 1 <= rank <= n, got rank={rank}, n={n}")
+    return FidelitySpec(eta=eta, Q=Q, J=J, rank=rank)
+
+
+def draw(
+    method: SampleMethod,
+    X: InputData,
+    params: KernelParams,
+    fidelity: FidelitySpec,
+    seed: int,
+) -> GpSample:
+    """Draw one sample with the sampler of `method` at a fidelity from
+    resolve_fidelity. A pciq sample records the preconditioner rank
+    reached, which may fall below fidelity.rank."""
+    if method is SampleMethod.Exact:
+        return exact_sample(X, params, seed)
+    if method is SampleMethod.Rff:
+        return rff_sample(X, params, fidelity.D, seed)
+    return ciq_sample(
+        X, params, fidelity.eta, fidelity.Q, fidelity.J, seed, precond=fidelity.rank
+    )
 
 
 def _run_cell(
     config: ExperimentConfig,
     n: int,
-    fidelity: float | None,
+    grid_value: float | None,
     cell_index: int,
     method_label: str,
     seed_tag: int = 0,
 ) -> ExperimentCell:
-    rescaler = fidelity_rescaler(config.method, n)
-    rescaled = (
-        fidelity / rescaler if (fidelity is not None and rescaler is not None) else None
-    )
+    """Generate, whiten and test `repeats` draws at one grid point. Any
+    failure, a grid value that does not resolve included, marks only
+    this cell failed."""
+    rescaler = fidelity_rescaler(config.method, n)  # None for exact cells, 0 at n=1
+    fidelity = grid_value
+    if config.fidelity_as_fraction and rescaler is not None:
+        fidelity = grid_value * rescaler
+    rescaled = fidelity / rescaler if rescaler else None
+    params = config.params
+    ran, failed, message = None, False, ""
+    rate = ci_low = ci_high = math.nan
     try:
+        # grid values become counts here: D to an even integer >= 2, J to an integer >= 1
+        D = J = None
+        if config.method is SampleMethod.Rff:
+            D = max(2, round(fidelity))
+            D += D % 2
+        elif fidelity is not None:
+            J = max(1, round(fidelity))
+        ran = resolve_fidelity(
+            config.method, n, params, D=D, J=J, eta=config.eta, epsilon=config.epsilon
+        )
         rejections = 0
         for r in range(config.repeats):
             seed = _streams.derive_seed(config.base_seed, seed_tag, cell_index, r)
-            if _one_repeat(config, n, fidelity, seed):
-                rejections += 1
+            X = sample_inputs(n, params, seed)
+            y = draw(config.method, X, params, ran, seed).y
+            z = whiten(y, gram(X, params, jitter=params.noise_variance))
+            rejections += cvm_test(z, config.alpha).reject
         rate = rejections / config.repeats
         ci_low, ci_high = binomial_ci(rate, config.repeats)
-        return ExperimentCell(
-            n=n,
-            fidelity=fidelity,
-            rate=rate,
-            ci_low=ci_low,
-            ci_high=ci_high,
-            repeats=config.repeats,
-            method=method_label,
-            rescaled_fidelity=rescaled,
-        )
     except Exception as exc:
-        return ExperimentCell(
-            n=n,
-            fidelity=fidelity,
-            rate=float("nan"),
-            ci_low=float("nan"),
-            ci_high=float("nan"),
-            repeats=config.repeats,
-            method=method_label,
-            rescaled_fidelity=rescaled,
-            failed=True,
-            message=str(exc),
-        )
+        failed, message = True, str(exc)
+    return ExperimentCell(
+        n=n,
+        fidelity=fidelity,
+        rate=rate,
+        ci_low=ci_low,
+        ci_high=ci_high,
+        repeats=config.repeats,
+        method=method_label,
+        rescaled_fidelity=rescaled,
+        failed=failed,
+        message=message,
+        ran=ran,
+    )
 
 
 def rejection_rate_experiment(
@@ -249,7 +292,7 @@ def rejection_rate_experiment(
     fidelities = (None,) if config.method is SampleMethod.Exact else config.fidelity_grid
     cells_in_grid = [(n, raw) for n in config.n_list for raw in fidelities]
     tasks = [
-        (config, n, _resolve_fidelity(config, n, raw), idx, config.method.value, 0)
+        (config, n, raw, idx, config.method.value, 0)
         for idx, (n, raw) in enumerate(cells_in_grid)
     ]
     if config.method is not SampleMethod.Exact:
@@ -280,64 +323,39 @@ def rejection_rate_experiment(
     return ExperimentReport(config=config, cells=cells, baseline=baseline)
 
 
-def _format_value(value: float | None) -> str:
+# the CSV columns, in order: every cell field up to rescaled_fidelity
+_CSV_COLUMNS = (
+    "n", "fidelity", "rate", "ci_low", "ci_high", "repeats", "method", "rescaled_fidelity"
+)
+
+
+def _format_value(value: float | int | str | None) -> str:
     if value is None:
         return ""
-    return format(value, ".17g")
+    return str(value) if isinstance(value, (int, str)) else format(value, ".17g")
 
 
 def report_csv_lines(report: ExperimentReport) -> list[str]:
     """Render a report as CSV lines (header first)."""
-    lines = ["n,fidelity,rate,ci_low,ci_high,repeats,method,rescaled_fidelity"]
+    lines = [",".join(_CSV_COLUMNS)]
     for cell in report.cells:
-        lines.append(
-            ",".join(
-                [
-                    str(cell.n),
-                    _format_value(cell.fidelity),
-                    _format_value(cell.rate),
-                    _format_value(cell.ci_low),
-                    _format_value(cell.ci_high),
-                    str(cell.repeats),
-                    cell.method,
-                    _format_value(cell.rescaled_fidelity),
-                ]
-            )
-        )
+        lines.append(",".join(_format_value(getattr(cell, k)) for k in _CSV_COLUMNS))
     return lines
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    """Render a report (config echo, cells, baseline) as a JSON document."""
+    """Render a report (config echo, cells, baseline) as a JSON document.
 
-    def cell_dict(cell: ExperimentCell) -> dict:
-        return {
-            "n": cell.n,
-            "fidelity": cell.fidelity,
-            "rate": None if math.isnan(cell.rate) else cell.rate,
-            "ci_low": None if math.isnan(cell.ci_low) else cell.ci_low,
-            "ci_high": None if math.isnan(cell.ci_high) else cell.ci_high,
-            "repeats": cell.repeats,
-            "method": cell.method,
-            "rescaled_fidelity": cell.rescaled_fidelity,
-            "failed": cell.failed,
-            "message": cell.message,
-        }
-
+    Every config field but `output` is echoed, and every cell field.
+    """
+    config = dataclasses.asdict(report.config)
+    del config["output"]
+    config["method"] = report.config.method.value
     payload = {
-        "config": {
-            "method": report.config.method.value,
-            "n_list": list(report.config.n_list),
-            "params": report.config.params.to_dict(),
-            "fidelity_grid": list(report.config.fidelity_grid),
-            "fidelity_as_fraction": report.config.fidelity_as_fraction,
-            "eta": report.config.eta,
-            "alpha": report.config.alpha,
-            "epsilon": report.config.epsilon,
-            "repeats": report.config.repeats,
-            "base_seed": report.config.base_seed,
-        },
-        "cells": [cell_dict(c) for c in report.cells],
-        "baseline": [cell_dict(c) for c in report.baseline],
+        "config": config,
+        "cells": [dataclasses.asdict(c) for c in report.cells],
+        "baseline": [dataclasses.asdict(c) for c in report.baseline],
     }
-    return json.dumps(payload, indent=2)
+    # a round trip that writes NaN (a failed cell's rate) as null, which is valid JSON
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(strict, indent=2)

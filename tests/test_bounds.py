@@ -70,22 +70,23 @@ class TestFidelitySpec:
             {"D": 0},
             {"Q": 0},
             {"J": 0},
+            {"rank": 0},
         ],
     )
     def test_field_validation(self, kwargs):
         with pytest.raises(ValueError):
             FidelitySpec(**kwargs)
 
+    def test_ciq_checks_eta_before_square_root(self):
+        """An eta above 1 would reach sqrt(1 - eta) as a math domain
+        error; it is refused by name instead."""
+        with pytest.raises(ValueError, match="eta"):
+            FidelitySpec.for_ciq(256, PARAMS, epsilon=0.1, eta=1.5)
+
 
 class TestRffMinFeatures:
     def test_worked_example(self):
         assert rff_min_features(100, 0.1, 0.01, 1.0) == 6907756
-
-    def test_simplified_flag_agrees(self):
-        for n, eps, delta, s2 in [(100, 0.1, 0.01, 1.0), (16, 0.51, 0.01, 1.0), (32, 0.3, 0.05, 0.25)]:
-            assert rff_min_features(n, eps, delta, s2) == rff_min_features(
-                n, eps, delta, s2, simplified=True
-            )
 
     def test_monotone_in_epsilon_and_n(self):
         eps_grid = [0.05, 0.1, 0.2, 0.4]

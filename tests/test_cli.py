@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from gpforge.cli import main
@@ -124,6 +125,143 @@ def test_sample_ciq_default_fidelity_golden(tmp_path, capsys):
     assert sidecar["fidelity"]["J"] == 63
     assert sidecar["seed"] == 3
     assert sidecar["n"] == 16
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--eps", "2"],
+        ["--eta", "1.5"],
+        ["--rank", "0"],
+        ["--rank", "99"],
+        ["--quadrature", "0"],
+        ["--iterations", "0"],
+        ["--n", "0"],
+    ],
+    ids=["eps", "eta", "rank-0", "rank-above-n", "quadrature", "iterations", "n"],
+)
+def test_sample_invalid_fidelity_exits_two(tmp_path, capsys, flags):
+    """Every fidelity value is checked before any work: a bad one is a
+    usage error, and no sample is written."""
+    out = tmp_path / "s.csv"
+    rc, _, err = run(
+        capsys, "sample", "--method", "pciq", "--n", "16", "--output", str(out), *flags
+    )
+    assert rc == 2
+    assert_one_error_line(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "rff", "--n", "16", "--eps", "0.1", "--delta", "2"],
+        ["--method", "rff", "--n", "0", "--eps", "0.1"],
+        ["--method", "ciq", "--n", "16", "--eps", "0.1", "--eta", "1.5"],
+        ["--method", "rff", "--n", "16", "--eps", "2"],
+    ],
+    ids=["delta", "n", "eta", "eps"],
+)
+def test_bounds_invalid_flag_exits_two(capsys, flags):
+    """An invalid budget or size is a usage error and prints no number."""
+    rc, out, err = run(capsys, "bounds", *flags)
+    assert rc == 2 and out == ""
+    assert_one_error_line(err)
+
+
+TABLE_DAMAGE = ["no comma", "non-numeric", "ragged", "header only", "nan", "missing"]
+
+
+def damage_table(path, damage):
+    """Spoil the second data row of a CSV table (or the whole file)."""
+    if damage == "missing":
+        path.unlink()
+        return
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    lines[2] = {
+        "no comma": " ".join(cells),
+        "non-numeric": ",".join(cells[:-1] + ["abc"]),
+        "ragged": ",".join(cells[:-1]),
+        "nan": ",".join(cells[:-1] + ["nan"]),
+    }.get(damage, lines[2])
+    if damage == "header only":
+        lines = lines[:1]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("damage", TABLE_DAMAGE)
+@pytest.mark.parametrize("reader", ["sample --inputs", "verify --sample"])
+def test_malformed_table_exits_two(tmp_path, capsys, recwarn, reader, damage):
+    """Both CSV inputs go through one reader: a malformed file is a
+    usage error with one `error:` line, never a traceback, a numpy
+    warning or a sample drawn at non-finite inputs."""
+    if reader == "sample --inputs":
+        table = tmp_path / "in.csv"
+        table.write_text("x0,x1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
+        argv = ["sample", "--method", "exact", "--inputs", str(table)]
+        argv += ["--output", str(tmp_path / "s.csv")]
+    else:
+        table = tmp_path / "s.csv"
+        rc, _, _ = run(
+            capsys, "sample", "--method", "exact", "--n", "8", "--output", str(table)
+        )
+        assert rc == 0
+        argv = ["verify", "--sample", str(table)]
+    damage_table(table, damage)
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert_one_error_line(err)
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
+def write_inputs(path, points):
+    lines = ["x0,x1"] + [",".join(format(v, ".17g") for v in row) for row in points]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_sample_from_inputs_round_trips_through_verify(tmp_path, capsys):
+    """A sample drawn at loaded inputs verifies against the same file;
+    an --n that contradicts the file is refused."""
+    inputs = tmp_path / "in.csv"
+    write_inputs(inputs, np.random.default_rng(8).uniform(-1.0, 1.0, size=(40, 2)))
+    out = tmp_path / "s.csv"
+    rc, _, _ = run(
+        capsys, "sample", "--method", "exact", "--inputs", str(inputs), "--seed", "6",
+        "--output", str(out),
+    )
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 41
+    rc, stdout, _ = run(capsys, "verify", "--sample", str(out), "--inputs", str(inputs))
+    assert rc == 0
+    assert json.loads(stdout)["reject"] is False
+    rc, _, err = run(
+        capsys, "sample", "--method", "exact", "--inputs", str(inputs), "--n", "39",
+        "--output", str(tmp_path / "t.csv"),
+    )
+    assert rc == 2
+    assert_one_error_line(err)
+
+
+def test_sample_pciq_sidecar_records_rank_reached(tmp_path, capsys):
+    """Nine identical inputs give a rank-one kernel, so the Nystrom
+    factor stops at rank 1 although floor(sqrt(9)) = 3 was requested;
+    the sidecar shows the rank that ran. Other sidecars carry a null rank."""
+    inputs = tmp_path / "same.csv"
+    write_inputs(inputs, np.full((9, 2), 0.25))
+    out = tmp_path / "p.csv"
+    rc, _, _ = run(
+        capsys, "sample", "--method", "pciq", "--inputs", str(inputs), "--output", str(out)
+    )
+    assert rc == 0
+    assert json.loads((tmp_path / "p.csv.json").read_text())["fidelity"]["rank"] == 1
+    rc, _, _ = run(capsys, "sample", "--method", "ciq", "--n", "9", "--output", str(out))
+    assert rc == 0
+    assert json.loads((tmp_path / "p.csv.json").read_text())["fidelity"]["rank"] is None
 
 
 def test_sample_unwritable_output_exits_one(capsys):
@@ -276,6 +414,21 @@ def test_experiment_row_count_matches_grid(tmp_path, capsys):
     )
     assert rc == 0
     assert len(out.read_text().splitlines()) == 1 + 2 * 2
+
+
+def test_experiment_reports_rounded_grid_value(tmp_path, capsys):
+    """rff runs an even feature count: the grid value 3 stays 3 in the
+    CSV, and the JSON cell shows that D=4 ran."""
+    out = tmp_path / "odd.csv"
+    rc, _, _ = run(
+        capsys,
+        "experiment", "--method", "rff", "--n-list", "16", "--fidelity-grid", "3",
+        "--repeats", "3", "--base-seed", "2", "--output", str(out), "--threads", "1",
+    )
+    assert rc == 0
+    assert out.read_text().splitlines()[1].split(",")[1] == "3"
+    cell = json.loads((tmp_path / "odd.csv.json").read_text())["cells"][0]
+    assert cell["fidelity"] == 3.0 and cell["ran"]["D"] == 4
 
 
 def test_experiment_rerun_reproduces_bytes(tmp_path, capsys):

@@ -22,6 +22,7 @@ from gpforge import (
 )
 from gpforge._streams import LATENT, stream
 from gpforge.kernel import GramMatrix
+from gpforge.precond import default_rank
 
 PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
 
@@ -186,6 +187,10 @@ class TestIterationReduction:
             unprecond.append(rep_u.iterations_run)
             precond.append(rep_p.iterations_run)
         assert np.median(precond) <= np.median(unprecond)
+
+
+def test_default_rank_is_floor_sqrt():
+    assert [default_rank(n) for n in (1, 2, 3, 4, 15, 16, 17, 2048)] == [1, 1, 1, 2, 3, 4, 4, 45]
 
 
 class TestEffectivenessSweep:

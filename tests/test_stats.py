@@ -9,15 +9,22 @@ import pytest
 
 from gpforge import (
     ExperimentConfig,
+    FidelitySpec,
     KernelParams,
     SampleMethod,
     binomial_ci,
+    ciq_sample,
     cvm_statistic,
     cvm_test,
+    draw,
+    exact_sample,
     fidelity_rescaler,
     rejection_rate_experiment,
     report_csv_lines,
     report_to_json,
+    resolve_fidelity,
+    rff_sample,
+    sample_inputs,
 )
 
 PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
@@ -120,6 +127,54 @@ class TestFidelityRescaler:
             n**0.375 * math.log(n)
         )
         assert fidelity_rescaler(SampleMethod.Exact, n) is None
+
+
+class TestResolveFidelity:
+    def test_fills_defaults(self):
+        ciq = FidelitySpec.for_ciq(64, PARAMS, epsilon=0.2, eta=0.3)
+        assert resolve_fidelity(SampleMethod.Exact, 64, PARAMS) == FidelitySpec()
+        assert resolve_fidelity(SampleMethod.Rff, 64, PARAMS, D=32) == FidelitySpec(D=32)
+        assert resolve_fidelity(
+            SampleMethod.Ciq, 64, PARAMS, J=7, eta=0.3, epsilon=0.2
+        ) == FidelitySpec(eta=0.3, Q=ciq.Q, J=7)
+        assert resolve_fidelity(
+            SampleMethod.CiqPreconditioned, 64, PARAMS, Q=5, eta=0.3, epsilon=0.2
+        ) == FidelitySpec(eta=0.3, Q=5, J=ciq.J, rank=8)
+
+    @pytest.mark.parametrize(
+        "method, kwargs",
+        [
+            (SampleMethod.Exact, {"n": 0}),
+            (SampleMethod.Rff, {}),
+            (SampleMethod.Rff, {"D": 3}),
+            (SampleMethod.Ciq, {"eta": 1.5}),
+            (SampleMethod.Ciq, {"epsilon": 2.0}),
+            (SampleMethod.Ciq, {"Q": 0}),
+            (SampleMethod.Ciq, {"J": 0}),
+            (SampleMethod.CiqPreconditioned, {"rank": 0}),
+            (SampleMethod.CiqPreconditioned, {"rank": 17}),
+        ],
+    )
+    def test_rejects_invalid_values(self, method, kwargs):
+        with pytest.raises(ValueError):
+            resolve_fidelity(method, params=PARAMS, **{"n": 16, **kwargs})
+
+
+def test_draw_dispatches_to_each_sampler():
+    """draw gives, value for value, the draw of the sampler it picks."""
+    X = sample_inputs(24, PARAMS, 2)
+    cases = [
+        (SampleMethod.Exact, exact_sample(X, PARAMS, 2)),
+        (SampleMethod.Rff, rff_sample(X, PARAMS, 16, 2)),
+        (SampleMethod.Ciq, ciq_sample(X, PARAMS, 0.5, 3, 20, 2)),
+        (SampleMethod.CiqPreconditioned, ciq_sample(X, PARAMS, 0.5, 3, 20, 2, precond=4)),
+    ]
+    for method, expected in cases:
+        fidelity = resolve_fidelity(method, 24, PARAMS, D=16, Q=3, J=20, rank=4)
+        sample = draw(method, X, PARAMS, fidelity, 2)
+        assert sample.method is method
+        assert sample.fidelity == expected.fidelity
+        np.testing.assert_array_equal(sample.y, expected.y)
 
 
 class TestExperimentConfig:
@@ -243,6 +298,47 @@ class TestRejectionRateExperiment:
         cell = rejection_rate_experiment(cfg).cells[0]
         assert cell.rescaled_fidelity == pytest.approx(128.0 / (64**2 * math.log(64)))
 
+    def test_cell_records_the_fidelity_that_ran(self):
+        """A grid value is rounded to the count that runs (D up to even,
+        J to an integer); the cell keeps the grid value and records the
+        rounded one in `ran`."""
+        rff = ExperimentConfig(
+            method=SampleMethod.Rff,
+            n_list=(16,),
+            params=PARAMS,
+            fidelity_grid=(3.0,),
+            repeats=3,
+            base_seed=4,
+        )
+        cell = rejection_rate_experiment(rff).cells[0]
+        assert cell.fidelity == 3.0 and cell.ran == FidelitySpec(D=4)
+        pciq = ExperimentConfig(
+            method=SampleMethod.CiqPreconditioned,
+            n_list=(16,),
+            params=PARAMS,
+            fidelity_grid=(2.6,),
+            repeats=3,
+            base_seed=4,
+        )
+        report = rejection_rate_experiment(pciq)
+        Q = FidelitySpec.for_ciq(16, PARAMS, 0.1).Q
+        assert report.cells[0].ran == FidelitySpec(eta=0.5, Q=Q, J=3, rank=4)
+        assert report.baseline[0].ran == FidelitySpec()
+
+    def test_single_point_cell_has_no_rescaled_value(self):
+        """The growth law n^2 log n is 0 at n=1; the cell runs and leaves
+        rescaled_fidelity empty instead of dividing by zero."""
+        cfg = ExperimentConfig(
+            method=SampleMethod.Rff,
+            n_list=(1,),
+            params=PARAMS,
+            fidelity_grid=(4.0,),
+            repeats=3,
+            base_seed=1,
+        )
+        cell = rejection_rate_experiment(cfg).cells[0]
+        assert not cell.failed and cell.rescaled_fidelity is None
+
     def test_fractional_grid_multiplies_growth_law(self):
         cfg = ExperimentConfig(
             method=SampleMethod.Rff,
@@ -294,3 +390,19 @@ class TestReportSerialization:
         assert doc["cells"][1]["failed"] is True
         assert doc["cells"][1]["rate"] is None
         assert len(doc["baseline"]) == 1
+
+    def test_json_is_strict_and_records_ran(self):
+        """A failed cell's NaN values are written as null, so the
+        document parses without NaN extensions; `ran` is null where the
+        grid value did not resolve."""
+        text = report_to_json(self.make_report())
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(text, parse_constant=refuse)
+        assert doc["config"]["fidelity_grid"] == [8.0, None]
+        assert "output" not in doc["config"]
+        good, bad = doc["cells"]
+        assert good["ran"]["D"] == 8 and good["ran"]["rank"] is None
+        assert bad["fidelity"] is None and bad["ran"] is None
