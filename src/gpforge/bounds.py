@@ -297,16 +297,16 @@ def kl_gaussian_marginal(K_hat: GramMatrix, K: GramMatrix) -> float:
     """KL divergence between zero-mean Gaussians with the given covariances.
 
     Computes 0.5*(tr(K^-1 K_hat) - n + logdet K - logdet K_hat) via
-    Cholesky factorizations of both matrices.
+    Cholesky factorizations of both matrices; a matrix that is not
+    positive definite raises FactorizationError, a ValueError.
     """
+    from .exact import cholesky_factor  # exact imports this module
+
     n = K.n
     if K_hat.n != n:
         raise ValueError(f"size mismatch: {K_hat.n} vs {n}")
-    try:
-        L = scipy.linalg.cholesky(K.entries, lower=True)
-        L_hat = scipy.linalg.cholesky(K_hat.entries, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError(f"covariance not positive definite: {exc}") from exc
+    L = cholesky_factor(K)
+    L_hat = cholesky_factor(K_hat)
     half = scipy.linalg.solve_triangular(L, L_hat, lower=True)
     trace_term = float(np.sum(half * half))
     logdet_K = 2.0 * float(np.sum(np.log(np.diag(L))))

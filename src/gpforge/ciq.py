@@ -321,11 +321,24 @@ def ciq_sample(
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     K = gram(X, params, jitter=eta * params.noise_variance)
+    return _ciq_draw(K, params, eta, Q, J, seed, precond)
+
+
+def _ciq_draw(
+    K: GramMatrix,
+    params: KernelParams,
+    eta: float,
+    Q: int,
+    J: int,
+    seed: int,
+    precond: NystromPreconditioner | int | None = None,
+) -> GpSample:
+    """ciq_sample on an assembled K with jitter eta * noise_variance."""
     if isinstance(precond, int):
         precond = nystrom_factor(K, precond)
-    u = _streams.stream(seed, _streams.LATENT).standard_normal(X.n)
+    u = _streams.stream(seed, _streams.LATENT).standard_normal(K.n)
     f_hat, report = ciq_sqrt_mv(K, u, Q, J, precond)
-    xi = _streams.stream(seed, _streams.NOISE).standard_normal(X.n)
+    xi = _streams.stream(seed, _streams.NOISE).standard_normal(K.n)
     y = f_hat + math.sqrt((1.0 - eta) * params.noise_variance) * xi
     method = SampleMethod.Ciq if precond is None else SampleMethod.CiqPreconditioned
     rank = None if precond is None else precond.rank

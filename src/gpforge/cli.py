@@ -47,6 +47,14 @@ _METHOD_NAMES = {
     "pciq": SampleMethod.CiqPreconditioned,
 }
 
+# the methods each optional fidelity flag of `sample` applies to
+_SAMPLE_FLAG_METHODS = {
+    "features": ("rff",),
+    "rank": ("pciq",),
+    "quadrature": ("ciq", "pciq"),
+    "iterations": ("ciq", "pciq"),
+}
+
 
 class UsageError(ValueError):
     """Invalid flags or configuration; maps to exit code 2."""
@@ -64,6 +72,14 @@ def _resolve_seed(seed: int) -> int:
         return int(env)
     except ValueError as exc:
         raise UsageError(f"GPFORGE_SEED must be an integer, got {env!r}") from exc
+
+
+def _number_list(text: str, flag: str, convert: type) -> list:
+    """The comma-separated values of a list flag; a malformed one is a usage error."""
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def _params_from_args(args: argparse.Namespace) -> KernelParams:
@@ -191,6 +207,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
         n = X.n
     elif args.n is None:
         raise UsageError("either --n or --inputs is required")
+    for flag, methods in _SAMPLE_FLAG_METHODS.items():
+        if getattr(args, flag) is not None and args.method not in methods:
+            raise UsageError(f"--{flag} does not apply to the {args.method} method")
     if method is SampleMethod.Rff:
         if args.features is None:
             raise UsageError("--features is required for the rff method")
@@ -231,9 +250,9 @@ def _build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.method is not None:
         raw["method"] = args.method
     if args.n_list is not None:
-        raw["n_list"] = [int(v) for v in args.n_list.split(",")]
+        raw["n_list"] = _number_list(args.n_list, "--n-list", int)
     if args.fidelity_grid is not None:
-        raw["fidelity_grid"] = [float(v) for v in args.fidelity_grid.split(",")]
+        raw["fidelity_grid"] = _number_list(args.fidelity_grid, "--fidelity-grid", float)
     for key in ("eta", "alpha", "epsilon", "repeats", "base_seed", "output"):
         value = getattr(args, key, None)
         if value is not None:
@@ -292,8 +311,12 @@ def cmd_precond_sweep(args: argparse.Namespace) -> int:
     """Sweep preconditioner quality over sizes and lengthscales."""
     params = _params_from_args(args)
     seed = _resolve_seed(args.seed)
-    n_list = [int(v) for v in args.n_list.split(",")]
-    lengthscales = [float(v) for v in args.lengthscales.split(",")]
+    n_list = _number_list(args.n_list, "--n-list", int)
+    lengthscales = _number_list(args.lengthscales, "--lengthscales", float)
+    if min(n_list) < 1:
+        raise UsageError(f"--n-list sizes must be >= 1, got {args.n_list}")
+    if not all(math.isfinite(ls) and ls > 0 for ls in lengthscales):
+        raise UsageError(f"--lengthscales must be finite and > 0, got {args.lengthscales}")
     rows = precond_mod.effectiveness_sweep(n_list, lengthscales, params, seed)
     lines = ["n,lengthscale,metric"]
     for n, ls, metric in rows:

@@ -82,11 +82,14 @@ def cholesky_factor(K: GramMatrix) -> np.ndarray:
 def exact_sample(X: InputData, params: KernelParams, seed: int) -> GpSample:
     """Draw y = L u with L the Cholesky factor of the fully noisy Gram matrix."""
     K = gram(X, params, jitter=params.noise_variance)
-    L = cholesky_factor(K)
-    u = _streams.stream(seed, _streams.LATENT).standard_normal(X.n)
-    y = L @ u
+    return _exact_draw(cholesky_factor(K), params, seed)
+
+
+def _exact_draw(L: np.ndarray, params: KernelParams, seed: int) -> GpSample:
+    """y = L u for a Cholesky factor L of the fully noisy Gram matrix."""
+    u = _streams.stream(seed, _streams.LATENT).standard_normal(L.shape[0])
     return GpSample(
-        y=y,
+        y=L @ u,
         method=SampleMethod.Exact,
         params=params,
         fidelity=FidelitySpec.for_exact(),
@@ -103,5 +106,9 @@ def whiten(y: np.ndarray, K_xi: GramMatrix) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != K_xi.n:
         raise ValueError(f"y has shape {y.shape}, expected ({K_xi.n},)")
-    L = cholesky_factor(K_xi)
+    return _whiten(y, cholesky_factor(K_xi))
+
+
+def _whiten(y: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """L^-1 y for a lower-triangular Cholesky factor L."""
     return scipy.linalg.solve_triangular(L, y, lower=True)

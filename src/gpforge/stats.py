@@ -19,9 +19,9 @@ import scipy.stats
 
 from . import _streams
 from .bounds import FidelitySpec
-from .ciq import ciq_sample
-from .exact import GpSample, SampleMethod, exact_sample, whiten
-from .kernel import InputData, KernelParams, gram, sample_inputs
+from .ciq import _ciq_draw
+from .exact import GpSample, SampleMethod, _exact_draw, _whiten, cholesky_factor
+from .kernel import GramMatrix, InputData, KernelParams, gram, sample_inputs
 from .precond import default_rank
 from .rff import rff_sample
 
@@ -213,13 +213,54 @@ def draw(
     """Draw one sample with the sampler of `method` at a fidelity from
     resolve_fidelity. A pciq sample records the preconditioner rank
     reached, which may fall below fidelity.rank."""
-    if method is SampleMethod.Exact:
-        return exact_sample(X, params, seed)
-    if method is SampleMethod.Rff:
-        return rff_sample(X, params, fidelity.D, seed)
-    return ciq_sample(
-        X, params, fidelity.eta, fidelity.Q, fidelity.J, seed, precond=fidelity.rank
-    )
+    return _Problem(X, params).draw(method, fidelity, seed)
+
+
+class _Problem:
+    """One repeat's problem: inputs and params, with the fully noisy Gram
+    matrix K_xi assembled at most once and its Cholesky factor computed
+    at most once. The exact draw is L u with that factor, a draw is
+    whitened through it, and ciq and pciq draw on the same buffer with
+    its diagonal lowered to the partially noisy level for the duration
+    of the draw. Not safe to share between threads.
+    """
+
+    def __init__(self, X: InputData, params: KernelParams) -> None:
+        self.X = X
+        self.params = params
+        self._K_xi: GramMatrix | None = None
+        self._L: np.ndarray | None = None
+
+    def K_xi(self) -> GramMatrix:
+        if self._K_xi is None:
+            self._K_xi = gram(self.X, self.params, jitter=self.params.noise_variance)
+        return self._K_xi
+
+    def factor(self) -> np.ndarray:
+        if self._L is None:
+            self._L = cholesky_factor(self.K_xi())
+        return self._L
+
+    def whiten(self, y: np.ndarray) -> np.ndarray:
+        return _whiten(y, self.factor())
+
+    def draw(self, method: SampleMethod, fidelity: FidelitySpec, seed: int) -> GpSample:
+        p = self.params
+        if method is SampleMethod.Exact:
+            return _exact_draw(self.factor(), p, seed)
+        if method is SampleMethod.Rff:
+            return rff_sample(self.X, p, fidelity.D, seed)
+        # gram pins the diagonal to variance + jitter, so K_eta is K_xi with another diagonal
+        entries = self.K_xi().entries
+        jitter = fidelity.eta * p.noise_variance
+        np.fill_diagonal(entries, p.variance + jitter)
+        try:
+            K_eta = GramMatrix(entries=entries, jitter=jitter)
+            return _ciq_draw(
+                K_eta, p, fidelity.eta, fidelity.Q, fidelity.J, seed, precond=fidelity.rank
+            )
+        finally:
+            np.fill_diagonal(entries, p.variance + p.noise_variance)
 
 
 def _run_cell(
@@ -255,10 +296,9 @@ def _run_cell(
         rejections = 0
         for r in range(config.repeats):
             seed = _streams.derive_seed(config.base_seed, seed_tag, cell_index, r)
-            X = sample_inputs(n, params, seed)
-            y = draw(config.method, X, params, ran, seed).y
-            z = whiten(y, gram(X, params, jitter=params.noise_variance))
-            rejections += cvm_test(z, config.alpha).reject
+            problem = _Problem(sample_inputs(n, params, seed), params)
+            y = problem.draw(config.method, ran, seed).y
+            rejections += cvm_test(problem.whiten(y), config.alpha).reject
         rate = rejections / config.repeats
         ci_low, ci_high = binomial_ci(rate, config.repeats)
     except Exception as exc:

@@ -553,3 +553,77 @@ def test_precond_sweep_grid_shape_and_determinism(tmp_path, capsys):
     assert lines[0] == "n,lengthscale,metric"
     assert len(lines) == 31
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n-list", "8,abc", "--fidelity-grid", "4"],
+        ["--n-list", "8", "--fidelity-grid", "4,x"],
+    ],
+    ids=["n-list", "fidelity-grid"],
+)
+def test_experiment_malformed_list_exits_two(tmp_path, capsys, flags):
+    """A list flag that does not parse is a usage error, and nothing is written."""
+    out = tmp_path / "e.csv"
+    rc, _, err = run(capsys, "experiment", "--method", "rff", "--output", str(out), *flags)
+    assert rc == 2
+    assert_one_error_line(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n_list, lengthscales",
+    [
+        ("0", "1"),
+        ("8,-3", "1"),
+        ("8,abc", "1"),
+        ("8.5", "1"),
+        ("8", "0"),
+        ("8", "1,-0.5"),
+        ("8", "nan"),
+        ("8", "inf"),
+        ("8", "x"),
+    ],
+    ids=["n-zero", "n-negative", "n-malformed", "n-fractional", "ls-zero",
+         "ls-negative", "ls-nan", "ls-inf", "ls-malformed"],
+)
+def test_precond_sweep_invalid_list_exits_two(tmp_path, capsys, n_list, lengthscales):
+    """Sizes must be integers >= 1 and lengthscales finite and > 0,
+    checked before any work."""
+    out = tmp_path / "p.csv"
+    rc, _, err = run(
+        capsys, "precond-sweep", "--n-list", n_list, "--lengthscales", lengthscales,
+        "--output", str(out),
+    )
+    assert rc == 2
+    assert_one_error_line(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "method, flags",
+    [
+        ("ciq", ["--features", "4"]),
+        ("pciq", ["--features", "4"]),
+        ("exact", ["--features", "4"]),
+        ("ciq", ["--rank", "3"]),
+        ("rff", ["--features", "4", "--rank", "3"]),
+        ("exact", ["--rank", "3"]),
+        ("rff", ["--features", "4", "--quadrature", "3"]),
+        ("exact", ["--quadrature", "3"]),
+        ("rff", ["--features", "4", "--iterations", "3"]),
+        ("exact", ["--iterations", "3"]),
+    ],
+)
+def test_sample_flag_for_another_method_exits_two(tmp_path, capsys, method, flags):
+    """--features is for rff, --rank for pciq, --quadrature and
+    --iterations for ciq and pciq; any other use is refused, not dropped."""
+    out = tmp_path / "s.csv"
+    rc, _, err = run(
+        capsys, "sample", "--method", method, "--n", "8", "--output", str(out), *flags
+    )
+    assert rc == 2
+    assert_one_error_line(err)
+    assert "does not apply" in err
+    assert not out.exists()

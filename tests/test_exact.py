@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpforge import (
     FactorizationError,
@@ -105,6 +107,25 @@ class TestWhiten:
         u = stream(seed + 1000, LATENT).standard_normal(n)
         z = whiten(s.y, K)
         assert float(np.max(np.abs(z - u))) <= 1e-8
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        dim=st.sampled_from([1, 2, 5]),
+        lengthscale=st.floats(0.1, 3.0),
+        noise_variance=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_whitening_inverts_the_factor(self, n, dim, lengthscale, noise_variance, seed):
+        """whiten(L u, K) == u up to rounding, for L the factor of K."""
+        p = KernelParams(
+            variance=1.0, lengthscale=lengthscale, noise_variance=noise_variance, dim=dim
+        )
+        _, K = noisy_gram(n, seed=seed, params=p)
+        u = stream(seed, LATENT).standard_normal(n)
+        z = whiten(cholesky_factor(K) @ u, K)
+        assert float(np.max(np.abs(z - u))) <= 1e-9 * max(1.0, float(np.max(np.abs(u))))
 
 
 class TestGpSampleValidation:

@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpforge import GramMatrix, InputData, KernelParams, gram, rbf, sample_inputs
+from gpforge.kernel import _GRAM_BLOCK
+
+B = _GRAM_BLOCK
 
 
 def make_params(**overrides):
@@ -200,3 +205,45 @@ class TestGram:
     def test_gram_matrix_type_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             GramMatrix(entries=np.zeros((2, 3)), jitter=0.0)
+
+
+class TestGramAssembly:
+    """Properties of the blocked in-place assembly, at sizes on either
+    side of the block edges."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, B - 1, B, B + 1, 2 * B + 1]),
+        dim=st.sampled_from([1, 2, 5]),
+        variance=st.floats(0.01, 10.0),
+        lengthscale=st.floats(0.05, 10.0),
+        jitter=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_symmetric_pinned_and_close_to_rbf(
+        self, n, dim, variance, lengthscale, jitter, seed
+    ):
+        """K is exactly symmetric, its diagonal is exactly variance +
+        jitter, and every entry is within 4 ulp * variance of kernel.rbf,
+        widened by the cancellation of the expanded squared distance:
+        the factor (||x||^2 + ||x'||^2) / (2 l^2) where that exceeds 1."""
+        p = make_params(variance=variance, lengthscale=lengthscale, dim=dim)
+        X = sample_inputs(n, p, seed)
+        K = gram(X, p, jitter=jitter).entries
+        np.testing.assert_array_equal(K, K.T)
+        np.testing.assert_array_equal(np.diag(K), np.full(n, variance + jitter))
+
+        x = X.points
+        sq = np.sum(x * x, axis=1)
+        widen = np.maximum(1.0, (sq[:, None] + sq[None, :]) / (2.0 * lengthscale**2))
+        tol = 4.0 * np.finfo(float).eps * variance * widen
+        # kernel.rbf's formula for every pair at once, and rbf itself on some pairs
+        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+        ref = variance * np.exp(-d2 / (2.0 * lengthscale**2))
+        off = ~np.eye(n, dtype=bool)
+        assert np.all(np.abs(K - ref)[off] <= tol[off])
+        edges = sorted({0, B - 1, B, 2 * B, n - 1} & set(range(n)))
+        for i in edges:
+            for j in edges:
+                if i != j:
+                    assert abs(K[i, j] - rbf(x[i], x[j], p)) <= tol[i, j]

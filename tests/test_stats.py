@@ -3,10 +3,12 @@ intervals and the rejection-rate experiment harness."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import gpforge
 from gpforge import (
     ExperimentConfig,
     FidelitySpec,
@@ -18,6 +20,7 @@ from gpforge import (
     cvm_test,
     draw,
     exact_sample,
+    gram,
     fidelity_rescaler,
     rejection_rate_experiment,
     report_csv_lines,
@@ -175,6 +178,60 @@ def test_draw_dispatches_to_each_sampler():
         assert sample.method is method
         assert sample.fidelity == expected.fidelity
         np.testing.assert_array_equal(sample.y, expected.y)
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls to fn through every gpforge module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "gpforge" or name.startswith("gpforge."):
+            for attr, bound in list(vars(mod).items()):
+                if bound is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "method, grid",
+    [
+        (SampleMethod.Exact, ()),
+        (SampleMethod.Rff, (16,)),
+        (SampleMethod.Ciq, (20,)),
+        (SampleMethod.CiqPreconditioned, (20,)),
+    ],
+)
+def test_each_repeat_assembles_and_factors_once(monkeypatch, method, grid):
+    """A repeat makes one gram call and one Cholesky factorization: the
+    sampler and the whitening share both, ciq and pciq included."""
+    grams = count_calls(monkeypatch, gpforge.kernel.gram)
+    factors = count_calls(monkeypatch, gpforge.exact.cholesky_factor)
+    config = ExperimentConfig(
+        method=method, n_list=(24,), params=PARAMS, fidelity_grid=grid, repeats=3
+    )
+    report = rejection_rate_experiment(config)
+    assert not any(cell.failed for cell in report.cells + report.baseline)
+    rounds = 3 if method is SampleMethod.Exact else 6  # the exact grid is its own baseline
+    assert len(grams) == rounds
+    assert len(factors) == rounds
+
+
+def test_quadrature_draw_leaves_the_shared_matrix_fully_noisy():
+    """ciq and pciq draw on the repeat's K_xi buffer with a lowered
+    diagonal and put the diagonal back, bit for bit."""
+    from gpforge.stats import _Problem
+
+    X = sample_inputs(40, PARAMS, 6)
+    expected = gram(X, PARAMS, jitter=PARAMS.noise_variance).entries
+    for method in (SampleMethod.Ciq, SampleMethod.CiqPreconditioned):
+        problem = _Problem(X, PARAMS)
+        fidelity = resolve_fidelity(method, 40, PARAMS, Q=3, J=20, rank=4)
+        problem.draw(method, fidelity, 6)
+        np.testing.assert_array_equal(problem.K_xi().entries, expected)
 
 
 class TestExperimentConfig:
