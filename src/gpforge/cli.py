@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -22,10 +23,11 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import precond as precond_mod
 from .bounds import DecayModel, FidelitySpec
-from .exact import GpSample, SampleMethod, whiten
-from .kernel import InputData, KernelParams, gram, sample_inputs
+from .exact import GpSample, SampleMethod
+from .kernel import InputData, KernelParams, sample_inputs
 from .stats import (
     ExperimentConfig,
+    _Problem,
     cvm_test,
     draw,
     rejection_rate_experiment,
@@ -51,6 +53,8 @@ _METHOD_NAMES = {
 _SAMPLE_FLAG_METHODS = {
     "features": ("rff",),
     "rank": ("pciq",),
+    "eta": ("ciq", "pciq"),
+    "eps": ("ciq", "pciq"),
     "quadrature": ("ciq", "pciq"),
     "iterations": ("ciq", "pciq"),
 }
@@ -171,7 +175,13 @@ def _read_table(path: str, header: list[str]) -> np.ndarray:
     return table
 
 
-def _write_sample(sample: GpSample, output: str) -> None:
+def _inputs_sha256(X: InputData) -> str:
+    """SHA-256 of the points' float64 C-order bytes: the sidecar's record of
+    the inputs a sample was drawn at."""
+    return hashlib.sha256(np.ascontiguousarray(X.points).tobytes()).hexdigest()
+
+
+def _write_sample(sample: GpSample, X: InputData, output: str) -> None:
     lines = ["index,y"]
     for i, value in enumerate(sample.y):
         lines.append(f"{i},{_fmt(value)}")
@@ -182,6 +192,7 @@ def _write_sample(sample: GpSample, output: str) -> None:
         "fidelity": dataclasses.asdict(sample.fidelity),
         "seed": sample.seed,
         "n": sample.n,
+        "inputs_sha256": _inputs_sha256(X),
     }
     if sample.solver is not None:
         sidecar["solver"] = {
@@ -224,7 +235,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     if X is None:
         X = sample_inputs(n, params, seed)
-    _write_sample(draw(method, X, params, fidelity, seed), args.output)
+    _write_sample(draw(method, X, params, fidelity, seed), X, args.output)
     return 0
 
 
@@ -337,6 +348,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed = sidecar["seed"] if args.inputs is None else None
         if args.inputs is None and type(seed) is not int:
             raise ValueError(f"seed must be an integer, got {seed!r}")
+        recorded = sidecar.get("inputs_sha256")  # absent from older sidecars
     except KeyError as exc:
         raise UsageError(f"sidecar {sidecar_path} has no {exc} field") from exc
     except (TypeError, ValueError) as exc:
@@ -348,7 +360,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         X = sample_inputs(len(y), params, seed)
     if X.n != len(y):
         raise UsageError(f"inputs have {X.n} rows but sample has {len(y)}")
-    z = whiten(y, gram(X, params, jitter=params.noise_variance))
+    if recorded is not None and recorded != _inputs_sha256(X):
+        source = args.inputs if args.inputs is not None else f"seed {seed}"
+        raise UsageError(
+            f"the inputs from {source} are not the ones the sample was drawn at "
+            "(inputs_sha256 differs); pass the sample's inputs with --inputs"
+        )
+    z = _Problem(X, params).whiten(y)
     print(json.dumps(dataclasses.asdict(cvm_test(z, args.alpha))))
     return 0
 
@@ -388,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--output", required=True, help="sample CSV path")
     p_sample.add_argument("--features", type=int, default=None, help="rff feature count D")
-    p_sample.add_argument("--eta", type=float, default=0.5, help="ciq noise split")
-    p_sample.add_argument("--eps", type=float, default=0.1, help="budget for ciq defaults")
+    p_sample.add_argument("--eta", type=float, default=None, help="ciq noise split [0.5]")
+    p_sample.add_argument("--eps", type=float, default=None, help="ciq default budget [0.1]")
     p_sample.add_argument("--quadrature", type=int, default=None, help="ciq node count Q")
     p_sample.add_argument("--iterations", type=int, default=None, help="ciq iteration cap J")
     p_sample.add_argument("--rank", type=int, default=None, help="pciq preconditioner rank")

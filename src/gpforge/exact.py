@@ -65,24 +65,31 @@ class GpSample:
         return self.y.shape[0]
 
 
-def cholesky_factor(K: GramMatrix) -> np.ndarray:
-    """Lower-triangular L with L L^T = K.entries.
+def cholesky_factor(K: GramMatrix, overwrite: bool = False) -> np.ndarray:
+    """Lower-triangular, C-contiguous L with L L^T = K.entries, read from
+    its lower triangle.
 
+    LAPACK factors the transpose, K's lower triangle seen in Fortran
+    order, as U^T U with U = L^T, so no transposing copy is made. With
+    overwrite, a C-contiguous K.entries is overwritten by L and no
+    longer holds the matrix; without it, K.entries is left unchanged.
     Raises FactorizationError naming the first failing pivot when the
     matrix is not positive definite.
     """
-    L, info = scipy.linalg.lapack.dpotrf(K.entries, lower=1, clean=1)
+    U, info = scipy.linalg.lapack.dpotrf(
+        K.entries.T, lower=0, clean=1, overwrite_a=int(overwrite)
+    )
     if info > 0:
         raise FactorizationError(pivot_index=int(info) - 1)
     if info < 0:
         raise ValueError(f"illegal factorization argument at position {-info}")
-    return L
+    return U.T
 
 
 def exact_sample(X: InputData, params: KernelParams, seed: int) -> GpSample:
     """Draw y = L u with L the Cholesky factor of the fully noisy Gram matrix."""
     K = gram(X, params, jitter=params.noise_variance)
-    return _exact_draw(cholesky_factor(K), params, seed)
+    return _exact_draw(cholesky_factor(K, overwrite=True), params, seed)
 
 
 def _exact_draw(L: np.ndarray, params: KernelParams, seed: int) -> GpSample:

@@ -172,16 +172,17 @@ def resolve_fidelity(
     D: int | None = None,
     Q: int | None = None,
     J: int | None = None,
-    eta: float = 0.5,
-    epsilon: float = 0.1,
+    eta: float | None = None,
+    epsilon: float | None = None,
     rank: int | None = None,
 ) -> FidelitySpec:
     """Check every fidelity value of `method` at size n and fill the defaults.
 
-    rff needs D. ciq and pciq take a missing Q or J from
-    FidelitySpec.for_ciq at budget epsilon, and pciq a missing rank from
-    default_rank(n). Values a method does not use are ignored. Raises
-    ValueError on any invalid value, before any sampling work.
+    rff needs D. ciq and pciq take a missing eta as 0.5, a missing
+    epsilon as 0.1, a missing Q or J from FidelitySpec.for_ciq at budget
+    epsilon, and pciq a missing rank from default_rank(n). Values a
+    method does not use are ignored. Raises ValueError on any invalid
+    value, before any sampling work.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -191,6 +192,8 @@ def resolve_fidelity(
         if D is None:
             raise ValueError("the rff method needs a feature count D")
         return FidelitySpec(D=D)
+    eta = 0.5 if eta is None else eta
+    epsilon = 0.1 if epsilon is None else epsilon
     if Q is None or J is None:
         spec = FidelitySpec.for_ciq(n, params, epsilon, eta)
         Q = spec.Q if Q is None else Q
@@ -218,11 +221,12 @@ def draw(
 
 class _Problem:
     """One repeat's problem: inputs and params, with the fully noisy Gram
-    matrix K_xi assembled at most once and its Cholesky factor computed
-    at most once. The exact draw is L u with that factor, a draw is
-    whitened through it, and ciq and pciq draw on the same buffer with
-    its diagonal lowered to the partially noisy level for the duration
-    of the draw. Not safe to share between threads.
+    matrix K_xi and its Cholesky factor L in one n x n buffer. The exact
+    draw is L u, a draw is whitened through L, and ciq and pciq draw on
+    K_xi with its diagonal lowered to the partially noisy level for the
+    duration of the draw. L is factored at most once, in place of K_xi;
+    a K_xi() call after factor() assembles the matrix again. Not safe
+    to share between threads.
     """
 
     def __init__(self, X: InputData, params: KernelParams) -> None:
@@ -238,7 +242,8 @@ class _Problem:
 
     def factor(self) -> np.ndarray:
         if self._L is None:
-            self._L = cholesky_factor(self.K_xi())
+            K_xi, self._K_xi = self.K_xi(), None  # L takes over its buffer
+            self._L = cholesky_factor(K_xi, overwrite=True)
         return self._L
 
     def whiten(self, y: np.ndarray) -> np.ndarray:

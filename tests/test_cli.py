@@ -1,11 +1,14 @@
 """Command-line interface: flag parsing, exit codes, file outputs."""
 
+import hashlib
 import json
 import time
 
 import numpy as np
 import pytest
 
+from gpforge import KernelParams, cvm_test, sample_inputs
+from gpforge._streams import LATENT, stream
 from gpforge.cli import main
 
 
@@ -614,11 +617,17 @@ def test_precond_sweep_invalid_list_exits_two(tmp_path, capsys, n_list, lengthsc
         ("exact", ["--quadrature", "3"]),
         ("rff", ["--features", "4", "--iterations", "3"]),
         ("exact", ["--iterations", "3"]),
+        ("rff", ["--features", "4", "--eta", "0.3"]),
+        ("exact", ["--eta", "0.3"]),
+        ("rff", ["--features", "4", "--eps", "0.5"]),
+        ("exact", ["--eps", "0.5"]),
+        ("exact", ["--eta", "0.5", "--eps", "0.1"]),
     ],
 )
 def test_sample_flag_for_another_method_exits_two(tmp_path, capsys, method, flags):
-    """--features is for rff, --rank for pciq, --quadrature and
-    --iterations for ciq and pciq; any other use is refused, not dropped."""
+    """--features is for rff, --rank for pciq, --quadrature, --iterations,
+    --eta and --eps for ciq and pciq; any other use is refused, not
+    dropped, even at the value the method would default to."""
     out = tmp_path / "s.csv"
     rc, _, err = run(
         capsys, "sample", "--method", method, "--n", "8", "--output", str(out), *flags
@@ -627,3 +636,66 @@ def test_sample_flag_for_another_method_exits_two(tmp_path, capsys, method, flag
     assert_one_error_line(err)
     assert "does not apply" in err
     assert not out.exists()
+
+
+def sha256_of(points):
+    return hashlib.sha256(np.ascontiguousarray(points, dtype=np.float64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("method", ["exact", "rff", "ciq", "pciq"])
+@pytest.mark.parametrize("n", [1, 48, 300])
+def test_sample_then_verify_round_trips(tmp_path, capsys, method, n):
+    """Every method's sample verifies with exit 0 at its defaults. For
+    exact, verify whitens back to the seed's latent draw u, so the
+    statistic it prints is the statistic of u."""
+    out = tmp_path / "s.csv"
+    extra = ["--features", "64"] if method == "rff" else []
+    rc, _, _ = run(
+        capsys, "sample", "--method", method, "--n", str(n), "--seed", "11",
+        "--output", str(out), *extra,
+    )
+    assert rc == 0
+    sidecar = json.loads((tmp_path / "s.csv.json").read_text())
+    params = KernelParams.from_dict(sidecar["params"])
+    assert sidecar["inputs_sha256"] == sha256_of(sample_inputs(n, params, 11).points)
+    rc, stdout, _ = run(capsys, "verify", "--sample", str(out))
+    assert rc == 0
+    statistic = json.loads(stdout)["statistic"]
+    if method == "exact":
+        expected = cvm_test(stream(11, LATENT).standard_normal(n)).statistic
+        assert statistic == pytest.approx(expected, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("case", ["seed inputs", "other file", "round trip", "old sidecar"])
+def test_verify_refuses_inputs_the_sample_was_not_drawn_at(tmp_path, capsys, case):
+    """The sidecar records a SHA-256 of the points a sample was drawn at.
+    verify refuses other points with exit 2: the seed's points in place
+    of a loaded file, or another file. The file itself verifies, and a
+    sidecar without the field is taken as it is."""
+    inputs, other = tmp_path / "in.csv", tmp_path / "other.csv"
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, 2))
+    write_inputs(inputs, points)
+    write_inputs(other, points[::-1])
+    out = tmp_path / "s.csv"
+    rc, _, _ = run(
+        capsys, "sample", "--method", "exact", "--inputs", str(inputs), "--seed", "4",
+        "--output", str(out),
+    )
+    assert rc == 0
+    sidecar_path = tmp_path / "s.csv.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    assert sidecar["inputs_sha256"] == sha256_of(points)
+    if case == "old sidecar":
+        del sidecar["inputs_sha256"]
+        sidecar_path.write_text(json.dumps(sidecar))
+    verify_inputs = {
+        "seed inputs": [], "other file": ["--inputs", str(other)],
+    }.get(case, ["--inputs", str(inputs)])
+    rc, stdout, err = run(capsys, "verify", "--sample", str(out), *verify_inputs)
+    if case in ("seed inputs", "other file"):
+        assert rc == 2 and stdout == ""
+        assert_one_error_line(err)
+        assert "inputs_sha256" in err
+    else:
+        assert rc == 0
+        assert json.loads(stdout)["reject"] is False

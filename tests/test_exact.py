@@ -58,14 +58,65 @@ class TestCholeskyFactor:
         assert info.value.pivot_index == 1
         assert "pivot 1" in str(info.value)
 
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_overwrite_gives_the_same_factor_in_the_input_buffer(self, n, seed):
+        """Without overwrite the input is left bit for bit; with it, L is
+        the same bits, written over the input's own buffer."""
+        _, K = noisy_gram(n, seed=seed)
+        before = K.entries.copy()
+        L = cholesky_factor(K)
+        np.testing.assert_array_equal(K.entries, before)
+        assert L.flags.c_contiguous
+        np.testing.assert_array_equal(np.triu(L, k=1), np.zeros((n, n)))
+        own = GramMatrix(entries=before.copy(), jitter=K.jitter)
+        L_own = cholesky_factor(own, overwrite=True)
+        np.testing.assert_array_equal(L_own, L)
+        assert np.shares_memory(L_own, own.entries)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1), overwrite=st.booleans())
+    def test_any_layout_gives_the_factor_of_the_lower_triangle(self, n, seed, overwrite):
+        """Fortran order and a strided view give the lower-triangular L of
+        the C-ordered matrix; only the lower triangle is read."""
+        _, K = noisy_gram(n, seed=seed)
+        L = cholesky_factor(K)
+        lower = np.where(np.tri(n, dtype=bool), K.entries, np.nan)
+        padded = np.full((2 * n, 3 * n), np.nan)
+        padded[::2, ::3] = lower
+        for entries in (lower.copy(), np.array(lower, order="F"), padded[::2, ::3]):
+            got = cholesky_factor(GramMatrix(entries=entries), overwrite=overwrite)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(np.triu(got, k=1), np.zeros((n, n)))
+            np.testing.assert_allclose(got, L, rtol=0, atol=1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 60), data=st.data(), seed=st.integers(0, 2**32 - 1),
+        overwrite=st.booleans(),
+    )
+    def test_indefinite_matrix_names_its_pivot(self, n, data, seed, overwrite):
+        """Lowering one diagonal entry until its pivot is -1 fails there,
+        in place or not; the pivots before it are untouched."""
+        k = data.draw(st.integers(0, n - 1))
+        _, K = noisy_gram(n, seed=seed)
+        row = cholesky_factor(K)[k, :k]
+        entries = K.entries.copy()
+        entries[k, k] = row @ row - 1.0
+        with pytest.raises(FactorizationError) as info:
+            cholesky_factor(GramMatrix(entries=entries), overwrite=overwrite)
+        assert info.value.pivot_index == k
+
 
 class TestExactSample:
     def test_deterministic_per_seed(self):
-        X, _ = noisy_gram(32, seed=1)
+        X, K = noisy_gram(32, seed=1)
         a = exact_sample(X, PARAMS, seed=99)
         b = exact_sample(X, PARAMS, seed=99)
         np.testing.assert_array_equal(a.y, b.y)
         assert a.method is SampleMethod.Exact
+        u = stream(99, LATENT).standard_normal(32)
+        np.testing.assert_array_equal(a.y, cholesky_factor(K) @ u)
 
     def test_scalar_case_formula(self):
         """At n=1 the draw collapses to sqrt(variance + noise) times the

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gpforge
 from gpforge import (
@@ -232,6 +234,27 @@ def test_quadrature_draw_leaves_the_shared_matrix_fully_noisy():
         fidelity = resolve_fidelity(method, 40, PARAMS, Q=3, J=20, rank=4)
         problem.draw(method, fidelity, 6)
         np.testing.assert_array_equal(problem.K_xi().entries, expected)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_factor_takes_the_gram_buffer_and_k_xi_assembles_again(n, seed):
+    """The factor is written over K_xi's buffer, so no second n x n array
+    is held; a later K_xi() assembles the fully noisy matrix afresh."""
+    from gpforge.kernel import GramMatrix
+    from gpforge.stats import _Problem
+
+    X = sample_inputs(n, PARAMS, seed)
+    expected = gram(X, PARAMS, jitter=PARAMS.noise_variance).entries
+    problem = _Problem(X, PARAMS)
+    K_xi = problem.K_xi()
+    L = problem.factor()
+    assert np.shares_memory(L, K_xi.entries)
+    np.testing.assert_array_equal(L, gpforge.cholesky_factor(GramMatrix(expected)))
+    again = problem.K_xi()
+    assert not np.shares_memory(again.entries, L)
+    np.testing.assert_array_equal(again.entries, expected)
+    assert problem.factor() is L
 
 
 class TestExperimentConfig:
