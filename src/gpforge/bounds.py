@@ -16,6 +16,10 @@ import scipy.linalg
 
 from .kernel import GramMatrix, KernelParams
 
+# the ciq noise split, and the total-variation budget of a default Q and J
+DEFAULT_ETA = 0.5
+DEFAULT_EPSILON = 0.1
+
 
 @dataclass(frozen=True)
 class FidelitySpec:
@@ -85,7 +89,7 @@ class FidelitySpec:
         n: int,
         params: KernelParams,
         epsilon: float,
-        eta: float = 0.5,
+        eta: float = DEFAULT_ETA,
         delta_Q: float | None = None,
     ) -> "FidelitySpec":
         """Fill Q and J from the quadrature and iteration calculators.
@@ -159,10 +163,25 @@ def rff_element_budget(n: int, epsilon: float, sigma_xi2: float) -> float:
     return 2.0 * math.sqrt(2.0) * epsilon * sigma_xi2 / n
 
 
-def ciq_min_quadrature(n: int, eta: float, sigma_xi2: float, delta_Q: float) -> int:
-    """Smallest node count Q with quadrature error at most delta_Q."""
+def _check_noise_split(n: int, eta: float, sigma_xi2: float) -> None:
     if n < 1 or sigma_xi2 <= 0 or not 0 < eta < 1:
         raise ValueError("need n >= 1, sigma_xi2 > 0 and eta in (0, 1)")
+
+
+def _krylov_headroom(n: int, eta: float, sigma_xi2: float, epsilon: float, delta_Q: float) -> float:
+    """The budget left to the Krylov error: epsilon*sigma_xi*sqrt(1-eta) - delta_Q > 0."""
+    _check_noise_split(n, eta, sigma_xi2)
+    cap = epsilon * math.sqrt(sigma_xi2) * math.sqrt(1.0 - eta)
+    if cap - delta_Q <= 0:
+        raise ValueError(
+            f"delta_Q={delta_Q} must stay below its cap epsilon*sigma_xi*sqrt(1-eta) = {cap}"
+        )
+    return cap - delta_Q
+
+
+def ciq_min_quadrature(n: int, eta: float, sigma_xi2: float, delta_Q: float) -> int:
+    """Smallest node count Q with quadrature error at most delta_Q."""
+    _check_noise_split(n, eta, sigma_xi2)
     if not 0 < delta_Q < 1:
         raise ValueError(f"delta_Q must lie in (0, 1), got {delta_Q}")
     raw = (math.log(n / (eta * sigma_xi2)) + 3.0) * (-math.log(delta_Q)) / (2.0 * math.pi**2)
@@ -185,17 +204,10 @@ def ciq_min_iterations(
     smallest shifted eigenvalue eta*sigma_xi^2. `asymptotic` returns the
     looser sqrt(n)-scaling form instead (unit constant).
     """
-    if n < 1 or sigma_xi2 <= 0 or not 0 < eta < 1:
-        raise ValueError("need n >= 1, sigma_xi2 > 0 and eta in (0, 1)")
+    headroom = _krylov_headroom(n, eta, sigma_xi2, epsilon, delta_Q)
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     sigma_xi = math.sqrt(sigma_xi2)
-    headroom = epsilon * sigma_xi * math.sqrt(1.0 - eta) - delta_Q
-    if headroom <= 0:
-        raise ValueError(
-            f"delta_Q={delta_Q} must stay below its cap "
-            f"epsilon*sigma_xi*sqrt(1-eta) = {epsilon * sigma_xi * math.sqrt(1.0 - eta)}"
-        )
     if asymptotic:
         raw = (
             math.sqrt(n)
@@ -228,15 +240,8 @@ def precond_min_iterations(
     """Sufficient iteration count under a rank-floor(sqrt(n)) preconditioner."""
     if lambda_kp1 < 0:
         raise ValueError(f"lambda_kp1 must be >= 0, got {lambda_kp1}")
-    if n < 1 or sigma_xi2 <= 0 or not 0 < eta < 1:
-        raise ValueError("need n >= 1, sigma_xi2 > 0 and eta in (0, 1)")
+    headroom = _krylov_headroom(n, eta, sigma_xi2, epsilon, delta_Q)
     sigma_xi = math.sqrt(sigma_xi2)
-    headroom = epsilon * sigma_xi * math.sqrt(1.0 - eta) - delta_Q
-    if headroom <= 0:
-        raise ValueError(
-            f"delta_Q={delta_Q} must stay below its cap "
-            f"epsilon*sigma_xi*sqrt(1-eta) = {epsilon * sigma_xi * math.sqrt(1.0 - eta)}"
-        )
     raw = 1.0 + (
         math.sqrt(lambda_kp1)
         * n**0.375

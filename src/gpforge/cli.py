@@ -22,10 +22,11 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import precond as precond_mod
-from .bounds import DecayModel, FidelitySpec
+from .bounds import DEFAULT_EPSILON, DEFAULT_ETA, DecayModel, FidelitySpec
 from .exact import GpSample, SampleMethod
-from .kernel import InputData, KernelParams, sample_inputs
+from .kernel import InputData, KernelParams, json_value, sample_inputs
 from .stats import (
+    DEFAULT_ALPHA,
     ExperimentConfig,
     _Problem,
     cvm_test,
@@ -38,16 +39,9 @@ from .stats import (
 
 SCHEMA_VERSION = 1
 
-_CONFIG_KEYS = {"schema_version"} | {f.name for f in dataclasses.fields(ExperimentConfig)}
 # kernel flag defaults, also filled in under a config file's partial params
 _DEFAULT_PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
-
-_METHOD_NAMES = {
-    "exact": SampleMethod.Exact,
-    "rff": SampleMethod.Rff,
-    "ciq": SampleMethod.Ciq,
-    "pciq": SampleMethod.CiqPreconditioned,
-}
+_METHODS = sorted(m.value for m in SampleMethod)
 
 # the methods each optional fidelity flag of `sample` applies to
 _SAMPLE_FLAG_METHODS = {
@@ -108,7 +102,7 @@ def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     """Print the fidelity parameters sufficient for the requested budget."""
-    method = _METHOD_NAMES[args.method]
+    method = SampleMethod(args.method)
     params = _params_from_args(args)
     sigma_xi2 = params.noise_variance
     payload: dict[str, object] = {
@@ -206,7 +200,7 @@ def _write_sample(sample: GpSample, X: InputData, output: str) -> None:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     """Generate one sample and write it as CSV plus a JSON sidecar."""
-    method = _METHOD_NAMES[args.method]
+    method = SampleMethod(args.method)
     params = _params_from_args(args)
     seed = _resolve_seed(args.seed)
     n, X = args.n, None
@@ -239,64 +233,36 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_config_file(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot parse config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise UsageError("config must be a JSON object")
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise UsageError(
-            f"config schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
-        )
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise UsageError(f"unknown config fields: {sorted(unknown)}")
-    return raw
-
-
 def _build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw = _parse_config_file(args.config) if args.config else {"schema_version": 1}
-    if args.method is not None:
-        raw["method"] = args.method
+    """The config file under the flags, with the kernel flag defaults under a
+    partial params, read by ExperimentConfig.from_dict; GPFORGE_SEED wins."""
+    raw = {}
+    if args.config:
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot parse config {args.config}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise UsageError("config must be a JSON object")
+        version = raw.pop("schema_version", None)
+        if version != SCHEMA_VERSION or isinstance(version, (bool, float)):
+            raise UsageError(f"config schema_version must be {SCHEMA_VERSION}, got {version!r}")
     if args.n_list is not None:
         raw["n_list"] = _number_list(args.n_list, "--n-list", int)
     if args.fidelity_grid is not None:
         raw["fidelity_grid"] = _number_list(args.fidelity_grid, "--fidelity-grid", float)
-    for key in ("eta", "alpha", "epsilon", "repeats", "base_seed", "output"):
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
-    if args.fidelity_as_fraction:
-        raw["fidelity_as_fraction"] = True
-    if "method" not in raw:
-        raise UsageError("config needs a method (flag --method or config file)")
-    if not isinstance(raw["method"], str) or raw["method"] not in _METHOD_NAMES:
-        raise UsageError(f"unknown method {raw['method']!r}")
-    if "n_list" not in raw or not raw["n_list"]:
-        raise UsageError("config needs a nonempty n_list")
-    params_raw = raw.get("params", {})
-    if isinstance(params_raw, dict):
-        params_raw = {**_DEFAULT_PARAMS.to_dict(), **params_raw}
+    for key in ("method", "fidelity_as_fraction", "eta", "alpha", "epsilon", "repeats",
+                "base_seed", "output"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    params = raw.get("params", {})
+    if isinstance(params, dict):
+        raw["params"] = {**_DEFAULT_PARAMS.to_dict(), **params}
     try:
-        params = KernelParams.from_dict(params_raw)
-        config = ExperimentConfig(
-            method=_METHOD_NAMES[raw["method"]],
-            n_list=tuple(int(v) for v in raw["n_list"]),
-            params=params,
-            fidelity_grid=tuple(float(v) for v in raw.get("fidelity_grid", ())),
-            fidelity_as_fraction=bool(raw.get("fidelity_as_fraction", False)),
-            eta=float(raw.get("eta", 0.5)),
-            alpha=float(raw.get("alpha", 0.05)),
-            epsilon=float(raw.get("epsilon", 0.1)),
-            repeats=int(raw.get("repeats", 100)),
-            base_seed=_resolve_seed(int(raw.get("base_seed", 0))),
-            output=raw.get("output"),
-        )
-    except (TypeError, ValueError) as exc:
+        config = ExperimentConfig.from_dict(raw)
+        return dataclasses.replace(config, base_seed=_resolve_seed(config.base_seed))
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return config
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -345,9 +311,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         sidecar = json.loads(sidecar_path.read_text())
         params = KernelParams.from_dict(sidecar["params"])
-        seed = sidecar["seed"] if args.inputs is None else None
-        if args.inputs is None and type(seed) is not int:
-            raise ValueError(f"seed must be an integer, got {seed!r}")
+        seed = json_value("seed", sidecar["seed"], int) if args.inputs is None else None
         recorded = sidecar.get("inputs_sha256")  # absent from older sidecars
     except KeyError as exc:
         raise UsageError(f"sidecar {sidecar_path} has no {exc} field") from exc
@@ -380,11 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bounds = sub.add_parser("bounds", help="print sufficient fidelity parameters")
-    p_bounds.add_argument("--method", required=True, choices=sorted(_METHOD_NAMES))
+    p_bounds.add_argument("--method", required=True, choices=_METHODS)
     p_bounds.add_argument("--n", type=int, required=True, help="dataset size")
     p_bounds.add_argument("--eps", type=float, required=True, help="total-variation budget")
     p_bounds.add_argument("--delta", type=float, default=0.01, help="failure probability")
-    p_bounds.add_argument("--eta", type=float, default=0.5, help="noise split")
+    p_bounds.add_argument("--eta", type=float, default=DEFAULT_ETA, help="noise split")
     p_bounds.add_argument(
         "--delta-q", type=float, default=None, dest="delta_q",
         help="quadrature budget (default: half its cap)",
@@ -400,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_sample = sub.add_parser("sample", help="draw one sample to CSV + JSON sidecar")
-    p_sample.add_argument("--method", required=True, choices=sorted(_METHOD_NAMES))
+    p_sample.add_argument("--method", required=True, choices=_METHODS)
     p_sample.add_argument("--n", type=int, default=None, help="number of input points")
     p_sample.add_argument("--inputs", default=None, help="CSV file of input points")
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--output", required=True, help="sample CSV path")
     p_sample.add_argument("--features", type=int, default=None, help="rff feature count D")
-    p_sample.add_argument("--eta", type=float, default=None, help="ciq noise split [0.5]")
-    p_sample.add_argument("--eps", type=float, default=None, help="ciq default budget [0.1]")
+    p_sample.add_argument("--eta", type=float, help=f"ciq noise split [{DEFAULT_ETA}]")
+    p_sample.add_argument("--eps", type=float, help=f"ciq default budget [{DEFAULT_EPSILON}]")
     p_sample.add_argument("--quadrature", type=int, default=None, help="ciq node count Q")
     p_sample.add_argument("--iterations", type=int, default=None, help="ciq iteration cap J")
     p_sample.add_argument("--rank", type=int, default=None, help="pciq preconditioner rank")
@@ -416,14 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a rejection-rate experiment")
     p_exp.add_argument("--config", default=None, help="JSON config file (schema_version 1)")
-    p_exp.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
+    p_exp.add_argument("--method", default=None, choices=_METHODS)
     p_exp.add_argument("--n-list", default=None, dest="n_list", help="comma-separated sizes")
     p_exp.add_argument(
         "--fidelity-grid", default=None, dest="fidelity_grid",
         help="comma-separated D or J values",
     )
     p_exp.add_argument(
-        "--fidelity-as-fraction", action="store_true", dest="fidelity_as_fraction",
+        "--fidelity-as-fraction", action="store_true", dest="fidelity_as_fraction", default=None,
         help="treat grid values as fractions of the growth-law rescaler",
     )
     p_exp.add_argument("--eta", type=float, default=None)
@@ -446,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="whiten and test an existing sample file")
     p_verify.add_argument("--sample", required=True, help="sample CSV written by `sample`")
     p_verify.add_argument("--inputs", default=None, help="CSV of the inputs, if loaded")
-    p_verify.add_argument("--alpha", type=float, default=0.05)
+    p_verify.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

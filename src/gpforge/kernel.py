@@ -10,8 +10,9 @@ with an additive diagonal jitter supplied at Gram-assembly time.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, fields
+from typing import Any
 
 import numpy as np
 
@@ -53,20 +54,43 @@ class KernelParams:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "KernelParams":
-        """Inverse of to_dict: every field present, nothing else.
-
-        Raises ValueError on a non-mapping, a missing key or an unknown key.
+        """Inverse of to_dict: every field present, nothing else, dim a JSON
+        integer and the others JSON numbers, kept as given. Raises ValueError
+        on a non-mapping, a missing or unknown key or a value of another type.
         """
-        if not isinstance(d, Mapping):
-            raise ValueError(f"params must be an object, got {type(d).__name__}")
         names = [f.name for f in fields(cls)]
-        missing = [name for name in names if name not in d]
-        if missing:
-            raise ValueError(f"missing params fields: {missing}")
-        unknown = sorted(set(d) - set(names))
-        if unknown:
-            raise ValueError(f"unknown params fields: {unknown}")
+        for name, value in json_object(d, "params", names, required=names).items():
+            json_value(name, value, int if name == "dim" else float)
         return cls(**d)
+
+
+_JSON_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string", list: "array"}
+
+
+def json_value(name: str, value: object, kind: type) -> Any:
+    """`value` if json.loads gives it for `kind`: bool, int, float (an int or
+    float, returned as a float), str or list. A bool is neither int nor float,
+    and nothing is coerced: anything else raises ValueError."""
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    if ok and isinstance(value, bool) is (kind is bool):
+        try:
+            return float(value) if kind is float else value
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{name} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+
+
+def json_object(d: object, what: str, names: Iterable[str], required: Iterable[str]) -> Mapping:
+    """`d` if a mapping with every `required` key and none outside `names`, else ValueError."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"{what} must be an object, got {type(d).__name__}")
+    missing = [name for name in required if name not in d]
+    if missing:
+        raise ValueError(f"missing {what} fields: {missing}")
+    unknown = sorted(set(d) - set(names))
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {unknown}")
+    return d
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ Woodbury identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -160,12 +160,7 @@ def effectiveness_sweep(
     rows: list[tuple[int, float, float]] = []
     for n in n_list:
         for ls in lengthscale_grid:
-            params = KernelParams(
-                variance=params_base.variance,
-                lengthscale=ls,
-                noise_variance=params_base.noise_variance,
-                dim=params_base.dim,
-            )
+            params = replace(params_base, lengthscale=ls)
             cell_seed = _streams.derive_seed(seed, n, int(1e9 * ls) & ((1 << 60) - 1))
             X = sample_inputs(n, params, cell_seed)
             K = gram(X, params, jitter=params.noise_variance)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,15 +20,18 @@ import scipy.special
 import scipy.stats
 
 from . import _streams
-from .bounds import FidelitySpec
+from .bounds import DEFAULT_EPSILON, DEFAULT_ETA, FidelitySpec
 from .ciq import _ciq_draw
 from .exact import GpSample, SampleMethod, _exact_draw, _whiten, cholesky_factor
-from .kernel import GramMatrix, InputData, KernelParams, gram, sample_inputs
+from .kernel import (
+    GramMatrix, InputData, KernelParams, gram, json_object, json_value, sample_inputs
+)
 from .precond import default_rank
 from .rff import rff_sample
 
 # asymptotic critical values for the fully specified normal null
 _CRITICAL_VALUES = {0.10: 0.347, 0.05: 0.461, 0.01: 0.743}
+DEFAULT_ALPHA = 0.05
 
 # seed-derivation tag separating baseline repeats from grid-cell repeats
 _BASELINE_TAG = 1 << 32
@@ -56,9 +61,9 @@ class ExperimentConfig:
     params: KernelParams
     fidelity_grid: tuple[float, ...] = ()
     fidelity_as_fraction: bool = False
-    eta: float = 0.5
-    alpha: float = 0.05
-    epsilon: float = 0.1
+    eta: float = DEFAULT_ETA
+    alpha: float = DEFAULT_ALPHA
+    epsilon: float = DEFAULT_EPSILON
     repeats: int = 100
     base_seed: int = 0
     output: str | None = None
@@ -72,14 +77,30 @@ class ExperimentConfig:
             raise ValueError("fidelity_grid must be nonempty for approximate methods")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-        if self.alpha not in _CRITICAL_VALUES:
-            raise ValueError(
-                f"alpha must be one of {sorted(_CRITICAL_VALUES)}, got {self.alpha}"
-            )
-        if not 0 < self.eta < 1:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if not 0 < self.epsilon <= 1:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        _critical_value(self.alpha)
+        FidelitySpec(eta=self.eta, epsilon=self.epsilon)  # refuses either out of range
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "ExperimentConfig":
+        """The config a JSON object gives: method (a SampleMethod's string),
+        n_list, params, and any other field or its default. Each value has its
+        field's type as JSON gives it, a tuple as an array and a number as a
+        float; nothing is coerced, and anything else raises ValueError."""
+        hints = typing.get_type_hints(cls)
+        json_object(d, "config", hints, required=("method", "n_list", "params"))
+        kwargs = {
+            "method": SampleMethod(json_value("method", d["method"], str)),
+            "params": KernelParams.from_dict(d["params"]),
+        }
+        for name in [name for name in d if name not in kwargs]:
+            hint = hints[name]
+            kind = (typing.get_args(hint) or (hint,))[0]  # a tuple's item, or str of `str | None`
+            if typing.get_origin(hint) is tuple:
+                items = json_value(name, d[name], list)
+                kwargs[name] = tuple(json_value(name, v, kind) for v in items)
+            else:
+                kwargs[name] = json_value(name, d[name], kind)
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -125,14 +146,16 @@ def cvm_statistic(z: np.ndarray) -> float:
     return float(1.0 / (12.0 * n) + np.sum((probs - (2 * i - 1) / (2.0 * n)) ** 2))
 
 
-def cvm_test(z: np.ndarray, alpha: float = 0.05) -> CvmResult:
-    """Test a vector against the standard normal null at the given level."""
+def _critical_value(alpha: float) -> float:
     if alpha not in _CRITICAL_VALUES:
-        raise ValueError(
-            f"alpha must be one of {sorted(_CRITICAL_VALUES)}, got {alpha}"
-        )
+        raise ValueError(f"alpha must be one of {sorted(_CRITICAL_VALUES)}, got {alpha}")
+    return _CRITICAL_VALUES[alpha]
+
+
+def cvm_test(z: np.ndarray, alpha: float = DEFAULT_ALPHA) -> CvmResult:
+    """Test a vector against the standard normal null at the given level."""
+    critical = _critical_value(alpha)
     stat = cvm_statistic(z)
-    critical = _CRITICAL_VALUES[alpha]
     return CvmResult(
         statistic=stat, alpha=alpha, critical_value=critical, reject=stat > critical
     )
@@ -178,11 +201,11 @@ def resolve_fidelity(
 ) -> FidelitySpec:
     """Check every fidelity value of `method` at size n and fill the defaults.
 
-    rff needs D. ciq and pciq take a missing eta as 0.5, a missing
-    epsilon as 0.1, a missing Q or J from FidelitySpec.for_ciq at budget
-    epsilon, and pciq a missing rank from default_rank(n). Values a
-    method does not use are ignored. Raises ValueError on any invalid
-    value, before any sampling work.
+    rff needs D. ciq and pciq take a missing eta as DEFAULT_ETA, a
+    missing epsilon as DEFAULT_EPSILON, a missing Q or J from
+    FidelitySpec.for_ciq at budget epsilon, and pciq a missing rank from
+    default_rank(n). Values a method does not use are ignored. Raises
+    ValueError on any invalid value, before any sampling work.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -192,8 +215,8 @@ def resolve_fidelity(
         if D is None:
             raise ValueError("the rff method needs a feature count D")
         return FidelitySpec(D=D)
-    eta = 0.5 if eta is None else eta
-    epsilon = 0.1 if epsilon is None else epsilon
+    eta = DEFAULT_ETA if eta is None else eta
+    epsilon = DEFAULT_EPSILON if epsilon is None else epsilon
     if Q is None or J is None:
         spec = FidelitySpec.for_ciq(n, params, epsilon, eta)
         Q = spec.Q if Q is None else Q
@@ -273,7 +296,6 @@ def _run_cell(
     n: int,
     grid_value: float | None,
     cell_index: int,
-    method_label: str,
     seed_tag: int = 0,
 ) -> ExperimentCell:
     """Generate, whiten and test `repeats` draws at one grid point. Any
@@ -315,7 +337,7 @@ def _run_cell(
         ci_low=ci_low,
         ci_high=ci_high,
         repeats=config.repeats,
-        method=method_label,
+        method=config.method.value,
         rescaled_fidelity=rescaled,
         failed=failed,
         message=message,
@@ -336,22 +358,12 @@ def rejection_rate_experiment(
     """
     fidelities = (None,) if config.method is SampleMethod.Exact else config.fidelity_grid
     cells_in_grid = [(n, raw) for n in config.n_list for raw in fidelities]
-    tasks = [
-        (config, n, raw, idx, config.method.value, 0)
-        for idx, (n, raw) in enumerate(cells_in_grid)
-    ]
+    tasks = [(config, n, raw, idx, 0) for idx, (n, raw) in enumerate(cells_in_grid)]
     if config.method is not SampleMethod.Exact:
         # the exact grid is its own baseline; other methods get one exact cell per n
-        baseline_config = ExperimentConfig(
-            method=SampleMethod.Exact,
-            n_list=config.n_list,
-            params=config.params,
-            alpha=config.alpha,
-            repeats=config.repeats,
-            base_seed=config.base_seed,
-        )
+        baseline_config = dataclasses.replace(config, method=SampleMethod.Exact)
         tasks += [
-            (baseline_config, n, None, idx, "exact", _BASELINE_TAG)
+            (baseline_config, n, None, idx, _BASELINE_TAG)
             for idx, n in enumerate(config.n_list)
         ]
 

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpforge import (
     KernelParams,
@@ -17,11 +19,14 @@ from gpforge import (
     elliptic_K,
     gram,
     jacobi_cn_dn,
+    nystrom_factor,
     sample_inputs,
     shifted_solve,
+    spectral_envelope,
 )
 from gpforge._streams import LATENT, NOISE, stream
 from gpforge.kernel import GramMatrix
+from gpforge.precond import default_rank
 
 mpmath.mp.dps = 30
 
@@ -166,6 +171,31 @@ class TestShiftedSolve:
         assert report.breakdown
         np.testing.assert_allclose(sols[0], u / 2.0, atol=1e-12)
         assert bool(report.converged[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        lengthscale=st.floats(0.1, 3.0),
+        J=st.sampled_from([3, 20, 400]),
+        seed=st.integers(0, 2**32 - 1),
+        preconditioned=st.booleans(),
+    )
+    def test_reported_residuals_are_true_residuals(self, n, lengthscale, J, seed, preconditioned):
+        """The residual_norms a solve reports, whether msMINRES tracked them
+        through its recurrences or PCG through its Nystrom-preconditioned
+        iterates, are ||(s_q I + K) x_q - u|| / ||u|| of the iterates it
+        returns, converged or cut short by the cap J."""
+        p = KernelParams(variance=1.0, lengthscale=lengthscale, noise_variance=0.25, dim=2)
+        K = gram(sample_inputs(n, p, seed), p, jitter=0.125)
+        u = stream(seed, LATENT).standard_normal(n)
+        shifts = build_quadrature(*spectral_envelope(K), 3).shifts
+        P = nystrom_factor(K, default_rank(n)) if preconditioned else None
+        sols, report = shifted_solve(K, shifts, u, J=J, precond=P)
+        true = [
+            np.linalg.norm(s * x + K.entries @ x - u) / np.linalg.norm(u)
+            for s, x in zip(shifts, sols)
+        ]
+        np.testing.assert_allclose(report.residual_norms, true, rtol=0, atol=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -530,6 +530,46 @@ def test_experiment_wrong_schema_version_exits_two(tmp_path, capsys):
     assert "schema_version" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("fidelity_as_fraction", "false"),
+        ("n_list", "32"),
+        ("n_list", [32.9]),
+        ("repeats", 4.7),
+        ("base_seed", 2.5),
+        ("repeats", True),
+        ("params", {"dim": 2.0}),
+        ("sidecar dim", 2.0),
+    ],
+    ids=[
+        "fraction-string", "n_list-string", "n_list-float", "repeats-float",
+        "base_seed-float", "repeats-bool", "params-dim-float", "sidecar-dim-float",
+    ],
+)
+def test_value_of_another_json_type_exits_two(tmp_path, capsys, key, value):
+    """A config or sidecar value without its field's JSON type is refused,
+    never coerced into a run it does not describe: "false" is not false,
+    "32" is not [3, 2], 32.9 is not 32 and true is not 1 repeat. A dim of
+    2.0 neither fails every experiment cell nor crashes verify."""
+    if key == "sidecar dim":
+        out = tmp_path / "s.csv"
+        assert run(capsys, "sample", "--method", "exact", "--n", "8", "--output", str(out))[0] == 0
+        sidecar = json.loads((tmp_path / "s.csv.json").read_text())
+        sidecar["params"]["dim"] = value
+        (tmp_path / "s.csv.json").write_text(json.dumps(sidecar))
+        argv = ["verify", "--sample", str(out)]
+    else:
+        config = {"schema_version": 1, "method": "rff", "n_list": [16], "fidelity_grid": [8]}
+        config.update({"repeats": 3, key: value})
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["experiment", "--config", str(tmp_path / "cfg.json"), "--threads", "1"]
+        argv += ["--output", str(tmp_path / "o.csv")]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_experiment_failed_cell_warns_but_succeeds(tmp_path, capsys):
     out = tmp_path / "warn.csv"
     rc, _, err = run(

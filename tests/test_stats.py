@@ -1,6 +1,7 @@
 """Statistical verification layer: the normality test, binomial
 intervals and the rejection-rate experiment harness."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import gpforge
 from gpforge import (
     ExperimentConfig,
+    ExperimentReport,
     FidelitySpec,
     KernelParams,
     SampleMethod,
@@ -285,6 +287,131 @@ class TestExperimentConfig:
                     fidelity_grid=(4.0,),
                     epsilon=epsilon,
                 )
+
+
+# arbitrary JSON values
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=8,
+)
+
+
+# each config field in declaration order, the three required ones first,
+# with values that usually pass its checks
+_CONFIG_VALUES = {
+    "method": st.sampled_from([m.value for m in SampleMethod]),
+    "n_list": st.lists(st.integers(1, 64), min_size=1, max_size=3),
+    "params": st.fixed_dictionaries(
+        {
+            "variance": st.integers(0, 3) | st.floats(0, 2),
+            "lengthscale": st.floats(0.1, 2),
+            "noise_variance": st.floats(0.1, 1),
+            "dim": st.integers(1, 3),
+        }
+    ),
+    "fidelity_grid": st.lists(st.integers(1, 64) | st.floats(), min_size=1, max_size=3),
+    "fidelity_as_fraction": st.booleans(),
+    "eta": st.floats(0.01, 0.99),
+    "alpha": st.sampled_from([0.1, 0.05, 0.01]),
+    "epsilon": st.floats(0.01, 1),
+    "repeats": st.integers(1, 100),
+    "base_seed": st.integers(0, 2**40),
+    "output": st.text(max_size=8),
+}
+
+
+@st.composite
+def _near_configs(draw):
+    """A config object of plausible values, a few of them (config or params
+    fields, or a junk key) set to arbitrary JSON and a few optional fields
+    dropped."""
+    d = draw(st.fixed_dictionaries(_CONFIG_VALUES))
+    names = [*_CONFIG_VALUES, *PARAMS.to_dict(), "bogus"]
+    for name in draw(st.lists(st.sampled_from(names), max_size=3)):
+        if name in PARAMS.to_dict() and isinstance(d.get("params"), dict):
+            d["params"][name] = draw(_JSON)
+        else:
+            d[name] = draw(_JSON)
+    for name in draw(st.lists(st.sampled_from(list(_CONFIG_VALUES)[3:]), max_size=2)):
+        d.pop(name, None)
+    return d
+
+
+_FUZZED_CONFIGS = _near_configs() | st.dictionaries(
+    st.sampled_from(list(_CONFIG_VALUES)) | st.text(max_size=6), _JSON
+)
+
+_VALID_CONFIGS = st.builds(
+    ExperimentConfig,
+    method=st.sampled_from(SampleMethod),
+    n_list=st.lists(st.integers(1, 10**6), min_size=1, max_size=4).map(tuple),
+    params=st.builds(
+        KernelParams,
+        variance=st.integers(0, 10) | st.floats(0, 1e6),
+        lengthscale=st.floats(1e-3, 1e3),
+        noise_variance=st.floats(1e-6, 1e3),
+        dim=st.integers(1, 8),
+    ),
+    fidelity_grid=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4
+    ).map(tuple),
+    fidelity_as_fraction=st.booleans(),
+    eta=st.floats(0, 1, exclude_min=True, exclude_max=True),
+    alpha=st.sampled_from([0.1, 0.05, 0.01]),
+    epsilon=st.floats(0, 1, exclude_min=True),
+    repeats=st.integers(1, 10**6),
+    base_seed=st.integers(0, 2**63),
+    output=st.none() | st.text(max_size=8),
+)
+
+
+class TestExperimentConfigFromDict:
+    def test_absent_fields_take_the_defaults(self):
+        config = ExperimentConfig.from_dict(
+            {"method": "exact", "n_list": [8], "params": PARAMS.to_dict()}
+        )
+        assert config == ExperimentConfig(method=SampleMethod.Exact, n_list=(8,), params=PARAMS)
+
+    @pytest.mark.parametrize("missing", ["method", "n_list", "params"])
+    def test_required_field_missing(self, missing):
+        d = {"method": "exact", "n_list": [8], "params": PARAMS.to_dict()}
+        del d[missing]
+        with pytest.raises(ValueError, match=missing):
+            ExperimentConfig.from_dict(d)
+
+    def test_value_fields_match_the_dataclass(self):
+        assert list(_CONFIG_VALUES) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=_FUZZED_CONFIGS)
+    def test_fuzzed_config_is_read_typed_or_refused(self, d):
+        """Any JSON object either gives a config whose every field has its
+        declared type, ints never bools, or raises ValueError; never
+        another exception and never a coerced value."""
+        try:
+            config = ExperimentConfig.from_dict(d)
+        except ValueError:
+            return
+        assert type(config.method) is SampleMethod
+        assert type(config.params) is KernelParams and type(config.params.dim) is int
+        assert all(type(v) in (int, float) for v in config.params.to_dict().values())
+        assert type(config.n_list) is tuple and all(type(n) is int for n in config.n_list)
+        assert type(config.fidelity_grid) is tuple
+        assert all(type(v) is float for v in config.fidelity_grid)
+        assert type(config.fidelity_as_fraction) is bool
+        assert all(type(v) is float for v in (config.eta, config.alpha, config.epsilon))
+        assert type(config.repeats) is int and type(config.base_seed) is int
+        assert config.output is None or type(config.output) is str
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=_VALID_CONFIGS)
+    def test_reads_back_the_report_echo(self, config):
+        """The config a JSON report echoes reads back as the config that
+        produced it, less its output path."""
+        report = ExperimentReport(config=config, cells=(), baseline=())
+        echo = json.loads(report_to_json(report))["config"]
+        assert ExperimentConfig.from_dict(echo) == dataclasses.replace(config, output=None)
 
 
 class TestRejectionRateExperiment:
