@@ -71,11 +71,6 @@ class FidelitySpec:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
 
     @classmethod
-    def for_exact(cls) -> "FidelitySpec":
-        """The exact sampler needs no fidelity parameters."""
-        return cls()
-
-    @classmethod
     def for_rff(
         cls, n: int, params: KernelParams, epsilon: float, delta: float
     ) -> "FidelitySpec":
@@ -123,9 +118,9 @@ class DecayModel:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.c1 <= 0 or self.c2 <= 0:
+        if not (self.c1 > 0 and self.c2 > 0):
             raise ValueError(f"c1 and c2 must be positive, got {self.c1}, {self.c2}")
-        if self.sigma_f <= 0:
+        if not self.sigma_f > 0:
             raise ValueError(f"sigma_f must be positive, got {self.sigma_f}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
@@ -195,26 +190,16 @@ def ciq_min_iterations(
     epsilon: float,
     delta_Q: float,
     Q: int,
-    asymptotic: bool = False,
 ) -> int:
     """Sufficient Krylov iteration count for the quadrature sampler.
 
     Evaluates the exact rearranged iteration bound with the analytic
     condition-number envelope kappa = n/(eta*sigma_xi^2) + 1 and
-    smallest shifted eigenvalue eta*sigma_xi^2. `asymptotic` returns the
-    looser sqrt(n)-scaling form instead (unit constant).
+    smallest shifted eigenvalue eta*sigma_xi^2.
     """
     headroom = _krylov_headroom(n, eta, sigma_xi2, epsilon, delta_Q)
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
-    sigma_xi = math.sqrt(sigma_xi2)
-    if asymptotic:
-        raw = (
-            math.sqrt(n)
-            / (math.sqrt(eta) * sigma_xi)
-            * math.log(n / (sigma_xi * headroom))
-        )
-        return max(1, int(math.ceil(raw)))
     kappa = n / (eta * sigma_xi2) + 1.0
     lam_n = eta * sigma_xi2
     sqrt_k = math.sqrt(kappa)
@@ -330,7 +315,7 @@ def kl_frobenius_bound(E_frobenius: float, sigma_xi2: float) -> float:
 
 def tv_from_kl(kl: float) -> float:
     """Total-variation upper bound from KL, clamped to the TV range [0, 1]."""
-    if kl < 0:
+    if not kl >= 0:
         raise ValueError(f"kl must be >= 0, got {kl}")
     return min(1.0, math.sqrt(kl / 2.0))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.special
@@ -56,21 +56,6 @@ class SolveReport:
     breakdown: bool = False
 
 
-def elliptic_K(k: float) -> float:
-    """Complete elliptic integral of the first kind with modulus k."""
-    if not 0 <= k < 1:
-        raise ValueError(f"modulus must lie in [0, 1), got {k}")
-    return float(scipy.special.ellipkm1((1.0 - k) * (1.0 + k)))
-
-
-def jacobi_cn_dn(t: float, k: float) -> tuple[float, float]:
-    """Jacobi elliptic cn(t, k) and dn(t, k)."""
-    if not 0 <= k < 1:
-        raise ValueError(f"modulus must lie in [0, 1), got {k}")
-    _, cn, dn, _ = scipy.special.ellipj(t, k * k)
-    return float(cn), float(dn)
-
-
 def build_quadrature(lambda_min: float, lambda_max: float, Q: int) -> QuadratureScheme:
     """Place Q shifted-system nodes for the interval [lambda_min, lambda_max].
 
@@ -98,18 +83,8 @@ def build_quadrature(lambda_min: float, lambda_max: float, Q: int) -> Quadrature
     )
 
 
-def _as_matvec(K_op) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(K_op, GramMatrix):
-        entries = K_op.entries
-        return lambda v: entries @ v
-    A = np.asarray(K_op, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"operator matrix must be square, got shape {A.shape}")
-    return lambda v: A @ v
-
-
 def _msminres(
-    mv: Callable[[np.ndarray], np.ndarray],
+    A: np.ndarray,
     shifts: np.ndarray,
     u: np.ndarray,
     J: int,
@@ -144,7 +119,7 @@ def _msminres(
     breakdown = False
     for j in range(J):
         iterations += 1
-        p = mv(v)
+        p = A @ v
         if j > 0:
             p = p - beta * v_old
         alpha = float(v @ p)
@@ -183,7 +158,7 @@ def _msminres(
 
 
 def _pcg_single(
-    mv: Callable[[np.ndarray], np.ndarray],
+    A: np.ndarray,
     shift: float,
     u: np.ndarray,
     precond: NystromPreconditioner,
@@ -205,7 +180,7 @@ def _pcg_single(
     breakdown = False
     for _ in range(J):
         iterations += 1
-        Ap = mv(p) + shift * p
+        Ap = A @ p + shift * p
         curvature = float(p @ Ap)
         if curvature <= 0.0:
             breakdown = True
@@ -225,7 +200,7 @@ def _pcg_single(
 
 
 def shifted_solve(
-    K_op,
+    K: GramMatrix,
     shifts: Sequence[float],
     u: np.ndarray,
     J: int,
@@ -234,13 +209,12 @@ def shifted_solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Approximately solve (shift_q I + K) v_q = u for every shift at once.
 
-    K_op may be a dense matrix or a GramMatrix. Without a preconditioner
-    all systems share one Krylov basis, costing a single operator
-    product per iteration; with one, each shift gets an independent
-    preconditioned conjugate-gradient solve. Returns the stacked
-    solutions (one row per shift) and a report; on Krylov breakdown the
-    current iterates come back with the report flagging the event
-    instead of raising.
+    Without a preconditioner all systems share one Krylov basis,
+    costing a single operator product per iteration; with one, each
+    shift gets an independent preconditioned conjugate-gradient solve.
+    Returns the stacked solutions (one row per shift) and a report; on
+    Krylov breakdown the current iterates come back with the report
+    flagging the event instead of raising.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
@@ -250,16 +224,15 @@ def shifted_solve(
     shift_arr = np.asarray(shifts, dtype=np.float64)
     if shift_arr.ndim != 1 or shift_arr.shape[0] < 1:
         raise ValueError("shifts must be a nonempty 1-d sequence")
-    mv = _as_matvec(K_op)
     if precond is None:
-        return _msminres(mv, shift_arr, u, J, tol)
+        return _msminres(K.entries, shift_arr, u, J, tol)
     X = np.zeros((shift_arr.shape[0], u.shape[0]))
     residuals = np.zeros(shift_arr.shape[0])
     iteration_counts = np.zeros(shift_arr.shape[0], dtype=int)
     any_breakdown = False
     for q, s in enumerate(shift_arr):
         X[q], residuals[q], iteration_counts[q], broke = _pcg_single(
-            mv, float(s), u, precond, J, tol
+            K.entries, float(s), u, precond, J, tol
         )
         any_breakdown = any_breakdown or broke
     return X, SolveReport(
@@ -289,12 +262,11 @@ def ciq_sqrt_mv(
     Q: int,
     J: int,
     precond: NystromPreconditioner | None = None,
-    tol: float = 1e-10,
 ) -> tuple[np.ndarray, SolveReport]:
     """Approximate K^(1/2) u through Q shifted solves capped at J iterations."""
     lam_min, lam_max = spectral_envelope(K)
     scheme = build_quadrature(lam_min, lam_max, Q)
-    solutions, report = shifted_solve(K, scheme.shifts, u, J, tol, precond)
+    solutions, report = shifted_solve(K, scheme.shifts, u, J, precond=precond)
     combined = scheme.weights @ solutions
     return K.entries @ combined, report
 
@@ -306,48 +278,56 @@ def ciq_sample(
     Q: int,
     J: int,
     seed: int,
-    precond: NystromPreconditioner | int | None = None,
+    rank: int | None = None,
 ) -> GpSample:
     """Draw a sample via the quadrature square root of the partially
     noisy Gram matrix.
 
     A fraction eta of the noise variance is folded into the kernel
     diagonal before the square root; the remainder is added afterwards
-    as independent noise. `precond` may be a ready preconditioner or a
-    rank, in which case the factor is built here on the assembled
-    matrix. The sample's fidelity records the rank the factor reached,
-    and the shifted solve's report rides along.
+    as independent noise. With a rank, the draw is preconditioned by a
+    Nystrom factor of that rank; the sample's fidelity records the rank
+    the factor reached, and the shifted solve's report rides along.
     """
-    if not 0 < eta < 1:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    K = gram(X, params, jitter=eta * params.noise_variance)
-    return _ciq_draw(K, params, eta, Q, J, seed, precond)
+    return _ciq_draw(gram(X, params, jitter=params.noise_variance), params, eta, Q, J, seed, rank)
 
 
 def _ciq_draw(
-    K: GramMatrix,
+    K_xi: GramMatrix,
     params: KernelParams,
     eta: float,
     Q: int,
     J: int,
     seed: int,
-    precond: NystromPreconditioner | int | None = None,
+    rank: int | None = None,
 ) -> GpSample:
-    """ciq_sample on an assembled K with jitter eta * noise_variance."""
-    if isinstance(precond, int):
-        precond = nystrom_factor(K, precond)
-    u = _streams.stream(seed, _streams.LATENT).standard_normal(K.n)
-    f_hat, report = ciq_sqrt_mv(K, u, Q, J, precond)
-    xi = _streams.stream(seed, _streams.NOISE).standard_normal(K.n)
+    """ciq_sample on the fully noisy K_xi = gram(X, params, jitter=noise_variance).
+
+    gram pins the diagonal to variance + jitter, so the partially noisy
+    K_eta is K_xi with its diagonal lowered to variance + eta *
+    noise_variance: the draw runs on K_xi's own buffer, and the diagonal
+    is put back afterwards, also when the draw raises.
+    """
+    if not 0 < eta < 1:
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    entries = K_xi.entries
+    jitter = eta * params.noise_variance
+    np.fill_diagonal(entries, params.variance + jitter)
+    try:
+        K = GramMatrix(entries=entries, jitter=jitter)
+        precond = None if rank is None else nystrom_factor(K, rank)
+        u = _streams.stream(seed, _streams.LATENT).standard_normal(K_xi.n)
+        f_hat, report = ciq_sqrt_mv(K, u, Q, J, precond)
+    finally:
+        np.fill_diagonal(entries, params.variance + params.noise_variance)
+    xi = _streams.stream(seed, _streams.NOISE).standard_normal(K_xi.n)
     y = f_hat + math.sqrt((1.0 - eta) * params.noise_variance) * xi
-    method = SampleMethod.Ciq if precond is None else SampleMethod.CiqPreconditioned
-    rank = None if precond is None else precond.rank
     return GpSample(
         y=y,
         f=f_hat,
-        method=method,
+        method=SampleMethod.Ciq if precond is None else SampleMethod.CiqPreconditioned,
         params=params,
-        fidelity=FidelitySpec(eta=eta, Q=Q, J=J, rank=rank),
+        fidelity=FidelitySpec(eta=eta, Q=Q, J=J, rank=None if precond is None else precond.rank),
         seed=seed,
         solver=report,
     )

@@ -169,6 +169,15 @@ def _read_table(path: str, header: list[str]) -> np.ndarray:
     return table
 
 
+def _read_inputs(path: str, dim: int) -> InputData:
+    """Points from a CSV file with header x0,x1,...; points InputData refuses are a usage error."""
+    points = _read_table(path, [f"x{i}" for i in range(dim)])
+    try:
+        return InputData(points=points, seed=None)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
 def _inputs_sha256(X: InputData) -> str:
     """SHA-256 of the points' float64 C-order bytes: the sidecar's record of
     the inputs a sample was drawn at."""
@@ -205,8 +214,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     n, X = args.n, None
     if args.inputs is not None:
-        points = _read_table(args.inputs, [f"x{i}" for i in range(params.dim)])
-        X = InputData(points=points, seed=None)
+        X = _read_inputs(args.inputs, params.dim)
         if args.n is not None and args.n != X.n:
             raise UsageError(f"--n {args.n} contradicts inputs file with {X.n} rows")
         n = X.n
@@ -318,8 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed sidecar {sidecar_path}: {exc}") from exc
     if args.inputs is not None:
-        points = _read_table(args.inputs, [f"x{i}" for i in range(params.dim)])
-        X = InputData(points=points, seed=None)
+        X = _read_inputs(args.inputs, params.dim)
     else:
         X = sample_inputs(len(y), params, seed)
     if X.n != len(y):
@@ -331,6 +338,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "(inputs_sha256 differs); pass the sample's inputs with --inputs"
         )
     z = _Problem(X, params).whiten(y)
+    if not np.all(np.isfinite(z)):
+        raise UsageError(f"{args.sample} whitens to non-finite values: its entries overflow")
     print(json.dumps(dataclasses.asdict(cvm_test(z, args.alpha))))
     return 0
 

@@ -39,9 +39,9 @@ class GpSample:
     """One draw from a sampler, with the provenance needed to reproduce it.
 
     y is the noisy observed vector; f, when present, is the latent
-    function before the final noise stage (only the quadrature sampler
-    separates the two); solver, when present, reports how the
-    quadrature sampler's shifted solves ended.
+    function before the final noise stage (the random-feature and
+    quadrature samplers separate the two); solver, when present,
+    reports how the quadrature sampler's shifted solves ended.
     """
 
     y: np.ndarray
@@ -99,7 +99,7 @@ def _exact_draw(L: np.ndarray, params: KernelParams, seed: int) -> GpSample:
         y=L @ u,
         method=SampleMethod.Exact,
         params=params,
-        fidelity=FidelitySpec.for_exact(),
+        fidelity=FidelitySpec(),
         seed=seed,
     )
 

@@ -10,6 +10,7 @@ with an additive diagonal jitter supplied at Gram-assembly time.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, fields
 from typing import Any
@@ -39,11 +40,11 @@ class KernelParams:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.variance < 0:
+        if not self.variance >= 0:
             raise ValueError(f"variance must be >= 0, got {self.variance}")
-        if self.lengthscale <= 0:
+        if not self.lengthscale > 0:
             raise ValueError(f"lengthscale must be > 0, got {self.lengthscale}")
-        if self.noise_variance <= 0:
+        if not self.noise_variance > 0:
             raise ValueError(f"noise_variance must be > 0, got {self.noise_variance}")
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValueError(f"dim must be an integer >= 1, got {self.dim}")
@@ -104,6 +105,10 @@ class InputData:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError(f"points must be a 2-d array, got shape {pts.shape}")
+        # below this, every squared distance gram forms (at most 4 d max|x|^2) is finite
+        limit = math.sqrt(np.finfo(np.float64).max / (4 * max(1, pts.shape[1])))
+        if not np.max(np.abs(pts), initial=0.0) < limit:
+            raise ValueError(f"coordinates must be finite and below {limit:.4g} in magnitude")
         object.__setattr__(self, "points", pts)
 
     @property

@@ -106,11 +106,6 @@ def apply_shifted_inverse(
     return (v - P.factor @ t) / s
 
 
-def apply_inverse(P: NystromPreconditioner, v: np.ndarray) -> np.ndarray:
-    """(F F^T + noise I)^(-1) v."""
-    return apply_shifted_inverse(P, v, 0.0)
-
-
 def preconditioned_condition_bound(
     lambda_kp1: float, n: int, eta: float, sigma_xi2: float, k: int
 ) -> float:
@@ -134,8 +129,8 @@ def _power_iteration_deviation(
     v /= np.linalg.norm(v)
     nr = 0.0
     for _ in range(iterations):
-        Mv = v - apply_inverse(P, K @ v)
-        MtMv = Mv - K @ apply_inverse(P, Mv)
+        Mv = v - apply_shifted_inverse(P, K @ v)
+        MtMv = Mv - K @ apply_shifted_inverse(P, Mv)
         nr = float(np.linalg.norm(MtMv))
         if nr == 0.0:
             return 0.0

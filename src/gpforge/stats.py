@@ -210,7 +210,7 @@ def resolve_fidelity(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if method is SampleMethod.Exact:
-        return FidelitySpec.for_exact()
+        return FidelitySpec()
     if method is SampleMethod.Rff:
         if D is None:
             raise ValueError("the rff method needs a feature count D")
@@ -246,10 +246,9 @@ class _Problem:
     """One repeat's problem: inputs and params, with the fully noisy Gram
     matrix K_xi and its Cholesky factor L in one n x n buffer. The exact
     draw is L u, a draw is whitened through L, and ciq and pciq draw on
-    K_xi with its diagonal lowered to the partially noisy level for the
-    duration of the draw. L is factored at most once, in place of K_xi;
-    a K_xi() call after factor() assembles the matrix again. Not safe
-    to share between threads.
+    K_xi through ciq._ciq_draw. L is factored at most once, in place of
+    K_xi; a K_xi() call after factor() assembles the matrix again. Not
+    safe to share between threads.
     """
 
     def __init__(self, X: InputData, params: KernelParams) -> None:
@@ -278,17 +277,7 @@ class _Problem:
             return _exact_draw(self.factor(), p, seed)
         if method is SampleMethod.Rff:
             return rff_sample(self.X, p, fidelity.D, seed)
-        # gram pins the diagonal to variance + jitter, so K_eta is K_xi with another diagonal
-        entries = self.K_xi().entries
-        jitter = fidelity.eta * p.noise_variance
-        np.fill_diagonal(entries, p.variance + jitter)
-        try:
-            K_eta = GramMatrix(entries=entries, jitter=jitter)
-            return _ciq_draw(
-                K_eta, p, fidelity.eta, fidelity.Q, fidelity.J, seed, precond=fidelity.rank
-            )
-        finally:
-            np.fill_diagonal(entries, p.variance + p.noise_variance)
+        return _ciq_draw(self.K_xi(), p, fidelity.eta, fidelity.Q, fidelity.J, seed, fidelity.rank)
 
 
 def _run_cell(

@@ -35,7 +35,7 @@ PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
 
 class TestFidelitySpec:
     def test_exact_carries_no_parameters(self):
-        spec = FidelitySpec.for_exact()
+        spec = FidelitySpec()
         assert spec.epsilon is None and spec.D is None and spec.Q is None
 
     def test_rff_fills_feature_count(self):
@@ -164,11 +164,6 @@ class TestCiqMinIterations:
         j = ciq_min_iterations(1, 0.9, 1e6, 0.5, 1e-6, 1)
         assert j >= 1 and isinstance(j, int)
 
-    def test_asymptotic_form_available(self):
-        dq = 0.5 * self.CAP
-        j = ciq_min_iterations(1024, 0.5, 0.25, 0.1, dq, 3, asymptotic=True)
-        assert j >= 1
-
     def test_cap_violation_rejected(self):
         with pytest.raises(ValueError):
             ciq_min_iterations(1024, 0.5, 0.25, 0.1, self.CAP, 3)
@@ -228,6 +223,12 @@ class TestDecayRegime:
             decay_regime(0, self.MODEL2)
         with pytest.raises(ValueError):
             DecayModel(c1=-1.0, c2=1.0, sigma_f=1.0, dim=2)
+
+    @pytest.mark.parametrize("field", ["c1", "c2", "sigma_f"])
+    def test_nan_constant_rejected(self, field):
+        constants = {"c1": 1.0, "c2": 1.0, "sigma_f": 1.0, field: math.nan}
+        with pytest.raises(ValueError):
+            DecayModel(**constants, dim=2)
 
 
 class TestConditionNumberBound:
@@ -376,6 +377,11 @@ class TestTvFromKl:
     def test_domain(self):
         with pytest.raises(ValueError):
             tv_from_kl(-0.1)
+
+    def test_nan_rejected(self):
+        """NaN passes `kl < 0`; it used to give a TV bound of 1.0."""
+        with pytest.raises(ValueError):
+            tv_from_kl(math.nan)
 
 
 class TestDecisionRateRelations:

@@ -1,5 +1,5 @@
-"""Quadrature square-root machinery: elliptic functions, node
-construction, the multi-shift solver and the sampler built on them."""
+"""Quadrature square-root machinery: node construction, the multi-shift
+solver and the sampler built on them."""
 
 import math
 
@@ -16,9 +16,7 @@ from gpforge import (
     ciq_error_bound,
     ciq_sample,
     ciq_sqrt_mv,
-    elliptic_K,
     gram,
-    jacobi_cn_dn,
     nystrom_factor,
     sample_inputs,
     shifted_solve,
@@ -28,68 +26,44 @@ from gpforge._streams import LATENT, NOISE, stream
 from gpforge.kernel import GramMatrix
 from gpforge.precond import default_rank
 
-mpmath.mp.dps = 30
-
-
-class TestEllipticK:
-    def test_zero_modulus(self):
-        assert elliptic_K(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
-
-    def test_half_sqrt_two_modulus(self):
-        assert elliptic_K(1.0 / math.sqrt(2.0)) == pytest.approx(1.854074677, abs=5e-10)
-
-    def test_against_arbitrary_precision_oracle(self):
-        """Relative error stays below 1e-12 over the open modulus range
-        (the oracle integral takes the parameter m = k^2)."""
-        for k in (0.01, 0.1, 0.5, 0.9, 0.99, 0.9999):
-            target = float(mpmath.ellipk(k * k))
-            assert elliptic_K(k) == pytest.approx(target, rel=1e-12)
-
-    def test_monotone_increasing(self):
-        grid = np.linspace(0.0, 0.999, 60)
-        vals = [elliptic_K(float(k)) for k in grid]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    @pytest.mark.parametrize("k", [1.0, 1.5, -0.1])
-    def test_domain_errors(self, k):
-        with pytest.raises(ValueError):
-            elliptic_K(k)
-
-
-class TestJacobiCnDn:
-    def test_origin(self):
-        cn, dn = jacobi_cn_dn(0.0, 0.5)
-        assert (cn, dn) == (1.0, 1.0)
-
-    def test_zero_modulus_degenerates_to_cosine(self):
-        for t in (-2.0, 0.3, 1.7):
-            cn, dn = jacobi_cn_dn(t, 0.0)
-            assert cn == pytest.approx(math.cos(t), abs=1e-14)
-            assert dn == pytest.approx(1.0, abs=1e-14)
-
-    def test_squared_identity_on_grid(self):
-        """dn^2 = 1 - k^2 (1 - cn^2) everywhere."""
-        for k in (0.1, 0.5, 0.9, 0.999):
-            for t in np.linspace(-3.0, 3.0, 25):
-                cn, dn = jacobi_cn_dn(float(t), k)
-                assert dn * dn == pytest.approx(1.0 - k * k * (1.0 - cn * cn), abs=1e-10)
-
-    def test_against_arbitrary_precision_oracle(self):
-        for k in (0.2, 0.7, 0.95):
-            m = k * k
-            for t in (-1.5, 0.4, 2.2, elliptic_K(k)):
-                cn, dn = jacobi_cn_dn(t, k)
-                assert cn == pytest.approx(float(mpmath.ellipfun("cn", t, m=m)), abs=1e-12)
-                assert dn == pytest.approx(float(mpmath.ellipfun("dn", t, m=m)), abs=1e-12)
-
-
 def scalar_max_relative_error(scheme, lambda_min, lambda_max):
     grid = np.geomspace(lambda_min, lambda_max, 400)
     errs = [abs(scheme.apply_scalar(float(a)) - math.sqrt(a)) / math.sqrt(a) for a in grid]
     return max(errs)
 
 
+def oracle_quadrature(lambda_min, lambda_max, Q):
+    """build_quadrature's shifts and weights evaluated to 40 digits on the
+    same float endpoints: nodes (q - 1/2) K'/Q at parameter m = 1 - lambda_min/lambda_max."""
+    with mpmath.workdps(40):
+        lo = mpmath.mpf(lambda_min)
+        m = 1 - lo / mpmath.mpf(lambda_max)
+        Kp = mpmath.ellipk(m)
+        shifts, weights = [], []
+        for q in range(Q):
+            t = (q + mpmath.mpf(0.5)) * Kp / Q
+            sn, cn, dn = (mpmath.ellipfun(name, t, m=m) for name in ("sn", "cn", "dn"))
+            shifts.append(lo * (sn / cn) ** 2)
+            weights.append(2 * Kp * mpmath.sqrt(lo) / (mpmath.pi * Q) * dn / cn**2)
+        return shifts, weights
+
+
 class TestBuildQuadrature:
+    @pytest.mark.parametrize("kappa", [2.0, 1.6e4, 1e8])
+    def test_against_arbitrary_precision_oracle(self, kappa):
+        """Every shift and weight is within 64 kappa ulp, relative, of its
+        40-digit value (measured: at most 1.3e-14 at kappa=2, 2.6e-12 at
+        1.6e4 and 1.2e-8 at 1e8, for Q up to 16)."""
+        with mpmath.workdps(40):
+            for lambda_min in (0.125, 1.0, 3.7):
+                for Q in (1, 2, 3, 5, 8, 16):
+                    scheme = build_quadrature(lambda_min, kappa * lambda_min, Q)
+                    shifts, weights = oracle_quadrature(lambda_min, kappa * lambda_min, Q)
+                    got = list(scheme.shifts) + list(scheme.weights)
+                    for value, exact in zip(got, shifts + weights):
+                        rel = float(abs(mpmath.mpf(float(value)) - exact) / exact)
+                        assert rel <= 64 * kappa * np.finfo(float).eps
+
     @pytest.mark.parametrize("Q", [1, 2, 8])
     def test_degenerate_spectrum(self, Q):
         """A collapsed spectral interval reproduces the square root of
@@ -136,7 +110,7 @@ class TestBuildQuadrature:
 class TestShiftedSolve:
     def test_identity_single_iteration(self):
         u = np.array([2.0, -1.0, 0.5])
-        sols, report = shifted_solve(np.eye(3), [3.0], u, J=1)
+        sols, report = shifted_solve(GramMatrix(np.eye(3)), [3.0], u, J=1)
         np.testing.assert_allclose(sols[0], u / 4.0, atol=1e-12)
         assert report.iterations_run == 1
 
@@ -144,7 +118,7 @@ class TestShiftedSolve:
         lam = np.arange(1.0, 17.0)
         u = np.ones(16)
         shifts = [0.1, 1.0, 10.0]
-        sols, _ = shifted_solve(np.diag(lam), shifts, u, J=16, tol=1e-12)
+        sols, _ = shifted_solve(GramMatrix(np.diag(lam)), shifts, u, J=16, tol=1e-12)
         for row, s in zip(sols, shifts):
             np.testing.assert_allclose(row, 1.0 / (s + lam), atol=1e-10)
 
@@ -167,7 +141,7 @@ class TestShiftedSolve:
         """On an invariant subspace the Lanczos recurrence terminates
         early; the report flags it and the returned iterate is exact."""
         u = np.array([1.0, 1.0, 1.0])
-        sols, report = shifted_solve(np.eye(3), [1.0], u, J=10, tol=1e-14)
+        sols, report = shifted_solve(GramMatrix(np.eye(3)), [1.0], u, J=10, tol=1e-14)
         assert report.breakdown
         np.testing.assert_allclose(sols[0], u / 2.0, atol=1e-12)
         assert bool(report.converged[0])
@@ -199,11 +173,11 @@ class TestShiftedSolve:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            shifted_solve(np.eye(2), [1.0], np.ones((2, 2)), J=4)
+            shifted_solve(GramMatrix(np.eye(2)), [1.0], np.ones((2, 2)), J=4)
         with pytest.raises(ValueError):
-            shifted_solve(np.eye(2), [1.0], np.ones(2), J=0)
+            shifted_solve(GramMatrix(np.eye(2)), [1.0], np.ones(2), J=0)
         with pytest.raises(ValueError):
-            shifted_solve(np.eye(2), [], np.ones(2), J=4)
+            shifted_solve(GramMatrix(np.eye(2)), [], np.ones(2), J=4)
 
 
 class TestCiqSqrtMv:

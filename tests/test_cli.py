@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gpforge import KernelParams, cvm_test, sample_inputs
 from gpforge._streams import LATENT, stream
@@ -222,9 +224,73 @@ def test_malformed_table_exits_two(tmp_path, capsys, recwarn, reader, damage):
     assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
+# cells of a fuzzed CSV: numbers of every size in their text forms, non-finite spellings and junk
+CSV_NUMBERS = st.floats().map(repr) | st.integers(-10**30, 10**30).map(str)
+CSV_JUNK = st.sampled_from(["nan", "inf", "-inf", "", " ", "abc", "0x10", "1e999", "#", '"1"'])
+
+
+def csv_text(header):
+    """Text of a CSV file: a header (often `header`) over rows that are
+    often rows of numbers of the header's width, mixed with junk cells and
+    blank lines; or any text at all."""
+    width = header.count(",") + 1
+    heads = st.just(header) | st.sampled_from([header + ",x", header.upper(), "", "x0;x1"])
+    numbers = st.lists(CSV_NUMBERS, min_size=width, max_size=width)
+    cells = st.lists(CSV_NUMBERS | CSV_JUNK | st.text(max_size=6), max_size=width + 1)
+    rows = st.lists((numbers | cells).map(",".join), max_size=4)
+    table = st.tuples(heads | st.text(max_size=8), rows)
+    return table.map(lambda t: "\n".join([t[0], *t[1]]) + "\n") | st.text()
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(reader=st.sampled_from(["sample --inputs", "verify --sample"]), data=st.data())
+def test_fuzzed_table_exits_zero_or_two(tmp_path, capsys, reader, data):
+    """Whatever text the file holds, `sample --inputs` and `verify
+    --sample` either succeed or exit 2 with one `error:` line: never
+    exit 1, never a traceback."""
+    if reader == "sample --inputs":
+        table = tmp_path / "in.csv"
+        table.write_text(data.draw(csv_text("x0,x1")), encoding="utf-8")
+        argv = ["sample", "--method", "exact", "--inputs", str(table)]
+        argv += ["--output", str(tmp_path / "s.csv")]
+    else:
+        table = tmp_path / "v.csv"
+        if not (tmp_path / "v.csv.json").exists():
+            argv = ["sample", "--method", "exact", "--n", "2", "--output", str(table)]
+            assert run(capsys, *argv)[0] == 0
+        table.write_text(data.draw(csv_text("index,y")), encoding="utf-8")
+        argv = ["verify", "--sample", str(table)]
+    rc, _, err = run(capsys, *argv)
+    assert rc in (0, 2)
+    if rc == 2:
+        assert_one_error_line(err)
+
+
 def write_inputs(path, points):
     lines = ["x0,x1"] + [",".join(format(v, ".17g") for v in row) for row in points]
     path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("reader", ["sample --inputs", "verify --sample"])
+def test_finite_values_that_overflow_exit_two(tmp_path, capsys, reader):
+    """Finite cells can still overflow: a coordinate of 1e200 squares past
+    the float range in the Gram assembly, and a sample of +-1.7e308 at two
+    equal points whitens to -inf. Each is a usage error, not an exit 1
+    with numpy warnings."""
+    inputs = tmp_path / "in.csv"
+    write_inputs(inputs, [[0.5, 0.0], [1e200 if reader == "sample --inputs" else 0.5, 0.0]])
+    out = tmp_path / "s.csv"
+    rc, _, err = run(
+        capsys, "sample", "--method", "exact", "--inputs", str(inputs), "--output", str(out)
+    )
+    if reader == "verify --sample":
+        assert rc == 0
+        out.write_text("index,y\n0,1.7e308\n1,-1.7e308\n")
+        rc, _, err = run(capsys, "verify", "--sample", str(out), "--inputs", str(inputs))
+    assert rc == 2
+    assert_one_error_line(err)
 
 
 def test_sample_from_inputs_round_trips_through_verify(tmp_path, capsys):
@@ -704,6 +770,30 @@ def test_sample_then_verify_round_trips(tmp_path, capsys, method, n):
     if method == "exact":
         expected = cvm_test(stream(11, LATENT).standard_normal(n)).statistic
         assert statistic == pytest.approx(expected, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("case", ["sample flag", "config params", "bounds decay constant"])
+def test_nan_parameter_exits_two(tmp_path, capsys, case):
+    """NaN fails every comparison, so a range check written as `x <= 0`
+    let it through: `sample --lengthscale nan` exited 1 on a non-finite
+    draw, a config with lengthscale NaN (Python's json reads the literal)
+    ran every cell failed with exit 0, and `bounds --c1 nan` printed a
+    regime."""
+    if case == "sample flag":
+        argv = ["sample", "--method", "exact", "--n", "8", "--lengthscale", "nan"]
+        argv += ["--output", str(tmp_path / "s.csv")]
+    elif case == "config params":
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            '{"schema_version": 1, "method": "exact", "n_list": [8], "repeats": 2, '
+            '"params": {"lengthscale": NaN}}'
+        )
+        argv = ["experiment", "--config", str(config), "--output", str(tmp_path / "o.csv")]
+    else:
+        argv = ["bounds", "--method", "ciq", "--n", "256", "--eps", "0.1", "--c1", "nan"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert_one_error_line(err)
 
 
 @pytest.mark.parametrize("case", ["seed inputs", "other file", "round trip", "old sidecar"])

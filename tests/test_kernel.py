@@ -43,6 +43,13 @@ class TestKernelParams:
         with pytest.raises(ValueError):
             make_params(dim=0)
 
+    @pytest.mark.parametrize("field", ["variance", "lengthscale", "noise_variance"])
+    def test_rejects_nan(self, field):
+        """Every comparison with NaN is false, so each check is written to
+        fail on it."""
+        with pytest.raises(ValueError, match=field):
+            make_params(**{field: math.nan})
+
     def test_dict_round_trip(self):
         p = make_params(variance=2.0, lengthscale=0.3, noise_variance=0.1, dim=3)
         d = p.to_dict()

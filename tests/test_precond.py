@@ -9,7 +9,6 @@ import pytest
 from gpforge import (
     KernelParams,
     NystromPreconditioner,
-    apply_inverse,
     apply_shifted_inverse,
     build_quadrature,
     effectiveness_sweep,
@@ -89,7 +88,7 @@ class TestApplyInverse:
     def test_empty_factor_divides_by_noise(self):
         P = NystromPreconditioner(rank=0, pivots=(), factor=np.zeros((3, 0)), noise=0.5)
         v = np.array([1.0, -2.0, 4.0])
-        np.testing.assert_allclose(apply_inverse(P, v), v / 0.5, atol=1e-14)
+        np.testing.assert_allclose(apply_shifted_inverse(P, v), v / 0.5, atol=1e-14)
 
     def test_three_point_hand_example(self):
         """F = (1,0,0)^T with unit noise makes the matrix diag(2,1,1)."""
@@ -97,7 +96,7 @@ class TestApplyInverse:
             rank=1, pivots=(0,), factor=np.array([[1.0], [0.0], [0.0]]), noise=1.0
         )
         v = np.array([3.0, 5.0, -2.0])
-        np.testing.assert_allclose(apply_inverse(P, v), [1.5, 5.0, -2.0], atol=1e-12)
+        np.testing.assert_allclose(apply_shifted_inverse(P, v), [1.5, 5.0, -2.0], atol=1e-12)
 
     def test_matches_dense_inverse(self):
         K = rbf_gram(128, seed=7)
@@ -105,7 +104,7 @@ class TestApplyInverse:
         dense = P.factor @ P.factor.T + K.jitter * np.eye(128)
         v = stream(13, LATENT).standard_normal(128)
         expect = np.linalg.solve(dense, v)
-        got = apply_inverse(P, v)
+        got = apply_shifted_inverse(P, v)
         assert np.linalg.norm(got - expect) / np.linalg.norm(expect) <= 1e-8
 
     def test_extra_shift_matches_dense_inverse(self):

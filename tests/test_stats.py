@@ -174,7 +174,7 @@ def test_draw_dispatches_to_each_sampler():
         (SampleMethod.Exact, exact_sample(X, PARAMS, 2)),
         (SampleMethod.Rff, rff_sample(X, PARAMS, 16, 2)),
         (SampleMethod.Ciq, ciq_sample(X, PARAMS, 0.5, 3, 20, 2)),
-        (SampleMethod.CiqPreconditioned, ciq_sample(X, PARAMS, 0.5, 3, 20, 2, precond=4)),
+        (SampleMethod.CiqPreconditioned, ciq_sample(X, PARAMS, 0.5, 3, 20, 2, rank=4)),
     ]
     for method, expected in cases:
         fidelity = resolve_fidelity(method, 24, PARAMS, D=16, Q=3, J=20, rank=4)
@@ -226,7 +226,9 @@ def test_each_repeat_assembles_and_factors_once(monkeypatch, method, grid):
 
 def test_quadrature_draw_leaves_the_shared_matrix_fully_noisy():
     """ciq and pciq draw on the repeat's K_xi buffer with a lowered
-    diagonal and put the diagonal back, bit for bit."""
+    diagonal and put the diagonal back, bit for bit, also when the draw
+    raises: a bad eta before anything is written, a bad rank after."""
+    from gpforge.ciq import _ciq_draw
     from gpforge.stats import _Problem
 
     X = sample_inputs(40, PARAMS, 6)
@@ -236,6 +238,11 @@ def test_quadrature_draw_leaves_the_shared_matrix_fully_noisy():
         fidelity = resolve_fidelity(method, 40, PARAMS, Q=3, J=20, rank=4)
         problem.draw(method, fidelity, 6)
         np.testing.assert_array_equal(problem.K_xi().entries, expected)
+    K_xi = gram(X, PARAMS, jitter=PARAMS.noise_variance)
+    for eta, rank in ((1.5, None), (0.5, 0)):
+        with pytest.raises(ValueError):
+            _ciq_draw(K_xi, PARAMS, eta, 3, 20, 6, rank)
+        np.testing.assert_array_equal(K_xi.entries, expected)
 
 
 @settings(max_examples=20, deadline=None)
