@@ -28,6 +28,7 @@ from .kernel import InputData, KernelParams, json_value, sample_inputs
 from .stats import (
     DEFAULT_ALPHA,
     ExperimentConfig,
+    _critical_value,
     _Problem,
     cvm_test,
     draw,
@@ -237,7 +238,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     if X is None:
         X = sample_inputs(n, params, seed)
-    _write_sample(draw(method, X, params, fidelity, seed), X, args.output)
+    sample = draw(method, X, params, fidelity, seed)
+    _write_sample(sample, X, args.output)
+    if sample.solver is not None and not np.all(sample.solver.converged):
+        print(
+            f"warning: the shifted solves did not converge in J={fidelity.J} iterations; "
+            "the sample was written, and its sidecar has \"converged\": false",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -312,6 +320,10 @@ def cmd_precond_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Whiten an existing sample file against its true covariance and test it."""
+    try:
+        _critical_value(args.alpha)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     y = _read_table(args.sample, ["index", "y"])[:, 1]
     sidecar_path = Path(args.sample + ".json")
     if not sidecar_path.exists():
@@ -405,7 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--repeats", type=int, default=None)
     p_exp.add_argument("--base-seed", type=int, default=None, dest="base_seed")
     p_exp.add_argument("--output", default=None)
-    p_exp.add_argument("--threads", type=int, default=None, help="worker pool size")
+    p_exp.add_argument(
+        "--threads", type=int, default=None,
+        help="number of worker processes [CPU count]; results do not depend on it",
+    )
     p_exp.set_defaults(func=cmd_experiment)
 
     p_sweep = sub.add_parser("precond-sweep", help="preconditioner effectiveness sweep")

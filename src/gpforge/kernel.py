@@ -170,10 +170,15 @@ def sample_inputs(n: int, params: KernelParams, seed: int) -> InputData:
 def gram(X: InputData, params: KernelParams, jitter: float = 0.0) -> GramMatrix:
     """Assemble the dense Gram matrix K + jitter * I on X, with no n x n temporary.
 
-    The lower triangle is built in row blocks of _GRAM_BLOCK rows, each
-    in one contiguous scratch block: one GEMM for -2 x.x', then in place
-    the expanded squared distance ||x||^2 + ||x'||^2 - 2 x.x' clamped
-    below at zero, the exponential and the variance. The square part of
+    Distances do not change under translation, so each coordinate whose
+    range lies farther from the origin than it is wide is first centred
+    on its midrange. The expanded squared distance below then loses no
+    more than rounding at the points' spread, however far they lie from
+    the origin, and no entry loses accuracy. The lower triangle is
+    built in row blocks of _GRAM_BLOCK rows, each in one contiguous
+    scratch block: one GEMM for -2 x.x', then in place the expanded
+    squared distance ||x||^2 + ||x'||^2 - 2 x.x' clamped below at zero,
+    the exponential and the variance. The square part of
     the block on the diagonal is replaced by the mean of itself and its
     transpose, and the block is copied into its rows of K and mirrored
     into the upper triangle, so K is exactly symmetric. The diagonal is
@@ -188,6 +193,12 @@ def gram(X: InputData, params: KernelParams, jitter: float = 0.0) -> GramMatrix:
             f"dimension mismatch: inputs have d={pts.shape[1]}, params.dim={params.dim}"
         )
     n = pts.shape[0]
+    if n > 0:
+        # only there is x - mid exact (Sterbenz) and smaller than |x|, so no
+        # entry loses accuracy and InputData's overflow bound still holds
+        low, high = pts.min(axis=0), pts.max(axis=0)
+        mid = 0.5 * (low + high)
+        pts = pts - np.where(np.abs(mid) > high - low, mid, 0.0)
     sq = np.sum(pts * pts, axis=1)
     minus_two_pts = -2.0 * pts  # exact: a power-of-two scale
     scale = -2.0 * params.lengthscale**2

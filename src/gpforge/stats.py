@@ -7,13 +7,20 @@ rejected at the nominal type-I rate, an unfaithful one more often.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import time
 import typing
-from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Mapping
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.special
@@ -35,6 +42,9 @@ DEFAULT_ALPHA = 0.05
 
 # seed-derivation tag separating baseline repeats from grid-cell repeats
 _BASELINE_TAG = 1 << 32
+
+# the stages of one repeat, in order; a report's `timing` sums each per cell
+_STAGES = ("inputs", "assemble", "factor", "draw", "whiten", "test")
 
 
 @dataclass(frozen=True)
@@ -124,9 +134,18 @@ class ExperimentCell:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """The cells of a sweep and their exact baselines (the cells themselves
+    for an exact sweep). `timing` has one entry per cell, then one per
+    baseline cell that is not a grid cell: {"cell": i} or {"baseline": i},
+    with "seconds", the wall time per stage (inputs, assemble, factor,
+    draw, whiten, test) summed over the repeats that returned. Timings
+    differ from run to run, so they stay out of cell equality and the CSV.
+    """
+
     config: ExperimentConfig
     cells: tuple[ExperimentCell, ...]
     baseline: tuple[ExperimentCell, ...]
+    timing: tuple[dict, ...] = ()
 
 
 def cvm_statistic(z: np.ndarray) -> float:
@@ -280,24 +299,14 @@ class _Problem:
         return _ciq_draw(self.K_xi(), p, fidelity.eta, fidelity.Q, fidelity.J, seed, fidelity.rank)
 
 
-def _run_cell(
-    config: ExperimentConfig,
-    n: int,
-    grid_value: float | None,
-    cell_index: int,
-    seed_tag: int = 0,
-) -> ExperimentCell:
-    """Generate, whiten and test `repeats` draws at one grid point. Any
-    failure, a grid value that does not resolve included, marks only
-    this cell failed."""
+def _plan_cell(config: ExperimentConfig, n: int, grid_value: float | None) -> ExperimentCell:
+    """The cell at one grid point before any repeat runs, with a NaN rate:
+    failed, with no `ran`, if the grid value does not resolve."""
     rescaler = fidelity_rescaler(config.method, n)  # None for exact cells, 0 at n=1
     fidelity = grid_value
     if config.fidelity_as_fraction and rescaler is not None:
         fidelity = grid_value * rescaler
-    rescaled = fidelity / rescaler if rescaler else None
-    params = config.params
-    ran, failed, message = None, False, ""
-    rate = ci_low = ci_high = math.nan
+    ran, message = None, ""
     try:
         # grid values become counts here: D to an even integer >= 2, J to an integer >= 1
         D = J = None
@@ -307,31 +316,139 @@ def _run_cell(
         elif fidelity is not None:
             J = max(1, round(fidelity))
         ran = resolve_fidelity(
-            config.method, n, params, D=D, J=J, eta=config.eta, epsilon=config.epsilon
+            config.method, n, config.params, D=D, J=J, eta=config.eta, epsilon=config.epsilon
         )
-        rejections = 0
-        for r in range(config.repeats):
-            seed = _streams.derive_seed(config.base_seed, seed_tag, cell_index, r)
-            problem = _Problem(sample_inputs(n, params, seed), params)
-            y = problem.draw(config.method, ran, seed).y
-            rejections += cvm_test(problem.whiten(y), config.alpha).reject
-        rate = rejections / config.repeats
-        ci_low, ci_high = binomial_ci(rate, config.repeats)
-    except Exception as exc:
-        failed, message = True, str(exc)
+    except Exception as exc:  # any value that does not resolve fails only its cell
+        message = str(exc)
     return ExperimentCell(
         n=n,
         fidelity=fidelity,
-        rate=rate,
-        ci_low=ci_low,
-        ci_high=ci_high,
+        rate=math.nan,
+        ci_low=math.nan,
+        ci_high=math.nan,
         repeats=config.repeats,
         method=config.method.value,
-        rescaled_fidelity=rescaled,
-        failed=failed,
+        rescaled_fidelity=fidelity / rescaler if rescaler else None,
+        failed=ran is None,
         message=message,
         ran=ran,
     )
+
+
+def _run_repeats(
+    config: ExperimentConfig,
+    n: int,
+    ran: FidelitySpec,
+    cell_index: int,
+    seed_tag: int,
+    start: int,
+    stop: int,
+) -> tuple[int, dict[str, float], tuple[int, str] | None]:
+    """Generate, whiten and test repeats start..stop-1 of one cell.
+
+    Returns the rejection count, the seconds spent per stage, and the
+    failure: None, or (repeat, message) for the first repeat that
+    raised, after which no repeat runs.
+    """
+    params = config.params
+    seconds = dict.fromkeys(_STAGES, 0.0)
+    last = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        seconds[stage] += now - last
+        last = now
+
+    rejections = 0
+    for r in range(start, stop):
+        try:
+            seed = _streams.derive_seed(config.base_seed, seed_tag, cell_index, r)
+            problem = _Problem(sample_inputs(n, params, seed), params)
+            lap("inputs")
+            problem.K_xi()
+            lap("assemble")
+            if config.method is SampleMethod.Exact:  # the exact draw is L u
+                problem.factor()
+                lap("factor")
+            y = problem.draw(config.method, ran, seed).y
+            lap("draw")
+            problem.factor()
+            lap("factor")
+            z = problem.whiten(y)
+            lap("whiten")
+            rejections += cvm_test(z, config.alpha).reject
+            lap("test")
+        except Exception as exc:  # any failure of a repeat fails only its cell
+            return rejections, seconds, (r, str(exc))
+    return rejections, seconds, None
+
+
+def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The (get, set) thread-count functions of each OpenBLAS this process
+    has loaded, as numpy and scipy do; their symbols may carry a scipy_
+    prefix and a 64_ suffix. Empty where /proc/self/maps cannot be read."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return []
+    paths = {
+        fields[5] for fields in (line.split(maxsplit=5) for line in maps.splitlines())
+        if len(fields) == 6 and "openblas" in os.path.basename(fields[5])
+    }
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: this only takes another reference
+        except OSError:
+            continue
+        for prefix, suffix in [(p, s) for s in ("64_", "") for p in ("scipy_", "")]:
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread, and restore the old counts
+    on exit. Forking while OpenBLAS threads run can deadlock the child, and
+    workers that each run one BLAS thread do not oversubscribe the cores."""
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+
+
+def _run_tasks(tasks: list[tuple], workers: int) -> list:
+    """_run_repeats(*task) for each task, in task order: on `workers` forked
+    processes when workers > 1 and the platform can fork, else in this
+    process. A task whose worker died before it returned gives None."""
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_run_repeats(*task) for task in tasks]
+    # fork, not spawn: a spawned worker pays the numpy and scipy imports again.
+    # Fork copies only this thread, so a caller's other threads must not hold
+    # locks the workers take; gpforge itself starts none.
+    context = multiprocessing.get_context("fork")
+    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = []
+        with contextlib.suppress(BrokenProcessPool):  # a worker died while tasks were queued
+            for task in tasks:
+                futures.append(pool.submit(_run_repeats, *task))
+        outcomes = [
+            None if isinstance(f.exception(), BrokenProcessPool) else f.result()
+            for f in futures
+        ]
+    return outcomes + [None] * (len(tasks) - len(futures))
 
 
 def rejection_rate_experiment(
@@ -341,32 +458,73 @@ def rejection_rate_experiment(
 
     Each cell runs `repeats` independent generate/whiten/test rounds
     with seeds derived from (base_seed, cell, repeat), so results do
-    not depend on execution order or thread count. An exact-sampler
-    baseline is measured at every n for reference. A failing cell is
-    recorded as failed and the sweep continues.
+    not depend on execution order or on the number of workers. An
+    exact-sampler baseline is measured at every n for reference. A
+    failing cell is recorded as failed and the sweep continues.
+
+    Each cell's repeats are split into contiguous chunks of
+    ceil(repeats / (4 * threads)), so that chunks of slow cells spread
+    over the workers; with threads > 1 the chunks run on that many
+    forked worker processes (in this process where fork is missing). A
+    worker that dies fails the cells whose chunks did not return, and
+    the sweep still returns its report.
     """
     fidelities = (None,) if config.method is SampleMethod.Exact else config.fidelity_grid
     cells_in_grid = [(n, raw) for n in config.n_list for raw in fidelities]
-    tasks = [(config, n, raw, idx, 0) for idx, (n, raw) in enumerate(cells_in_grid)]
+    jobs = [(config, n, raw, idx, 0) for idx, (n, raw) in enumerate(cells_in_grid)]
     if config.method is not SampleMethod.Exact:
         # the exact grid is its own baseline; other methods get one exact cell per n
         baseline_config = dataclasses.replace(config, method=SampleMethod.Exact)
-        tasks += [
+        jobs += [
             (baseline_config, n, None, idx, _BASELINE_TAG)
             for idx, n in enumerate(config.n_list)
         ]
+    cells = [_plan_cell(job_config, n, raw) for job_config, n, raw, _, _ in jobs]
 
-    def run_task(task: tuple) -> ExperimentCell:
-        return _run_cell(*task)
+    repeats = config.repeats
+    size = math.ceil(repeats / (4 * max(1, threads)))
+    owners, tasks = [], []
+    for pos, ((job_config, n, _, idx, tag), cell) in enumerate(zip(jobs, cells)):
+        if cell.failed:
+            continue
+        for start in range(0, repeats, size):
+            owners.append(pos)
+            tasks.append((job_config, n, cell.ran, idx, tag, start, min(start + size, repeats)))
+    outcomes = _run_tasks(tasks, min(threads, len(tasks)))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(task) for task in tasks]
-    cells = tuple(results[: len(cells_in_grid)])
-    baseline = tuple(results[len(cells_in_grid) :]) or cells
-    return ExperimentReport(config=config, cells=cells, baseline=baseline)
+    rejections = [0] * len(cells)
+    seconds = [dict.fromkeys(_STAGES, 0.0) for _ in cells]
+    failures: list[list[tuple[int, str]]] = [[] for _ in cells]
+    for pos, task, outcome in zip(owners, tasks, outcomes):
+        if outcome is None:  # its worker died
+            start, stop = task[-2:]
+            outcome = (0, {}, (start, f"a worker process died running repeats {start}-{stop - 1}"))
+        count, spent, failure = outcome
+        rejections[pos] += count
+        for stage, s in spent.items():
+            seconds[pos][stage] += s
+        if failure is not None:
+            failures[pos].append(failure)
+    for pos, cell in enumerate(cells):
+        if failures[pos]:
+            # the lowest failing repeat's message, the one a serial loop meets
+            cells[pos] = dataclasses.replace(cell, failed=True, message=min(failures[pos])[1])
+        elif not cell.failed:
+            rate = rejections[pos] / repeats
+            ci_low, ci_high = binomial_ci(rate, repeats)
+            cells[pos] = dataclasses.replace(cell, rate=rate, ci_low=ci_low, ci_high=ci_high)
+
+    grid = len(cells_in_grid)
+    timing = tuple(
+        {"cell": pos, "seconds": spent} if pos < grid else {"baseline": pos - grid, "seconds": spent}
+        for pos, spent in enumerate(seconds)
+    )
+    return ExperimentReport(
+        config=config,
+        cells=tuple(cells[:grid]),
+        baseline=tuple(cells[grid:]) or tuple(cells),
+        timing=timing,
+    )
 
 
 # the CSV columns, in order: every cell field up to rescaled_fidelity
@@ -390,7 +548,7 @@ def report_csv_lines(report: ExperimentReport) -> list[str]:
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    """Render a report (config echo, cells, baseline) as a JSON document.
+    """Render a report (config echo, cells, baseline, timing) as a JSON document.
 
     Every config field but `output` is echoed, and every cell field.
     """
@@ -401,6 +559,7 @@ def report_to_json(report: ExperimentReport) -> str:
         "config": config,
         "cells": [dataclasses.asdict(c) for c in report.cells],
         "baseline": [dataclasses.asdict(c) for c in report.baseline],
+        "timing": list(report.timing),
     }
     # a round trip that writes NaN (a failed cell's rate) as null, which is valid JSON
     strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)

@@ -316,6 +316,24 @@ def test_sample_from_inputs_round_trips_through_verify(tmp_path, capsys):
     assert_one_error_line(err)
 
 
+@pytest.mark.parametrize("method", ["exact", "ciq", "pciq"])
+def test_inputs_far_from_the_origin_sample_and_verify(tmp_path, capsys, method):
+    """Forty points 1e8 + 0.3 i on a line: the kernel matrix is well
+    conditioned, so the sample is drawn and verifies at alpha = 0.05."""
+    inputs = tmp_path / "far.csv"
+    write_inputs(inputs, np.repeat(1e8 + 0.3 * np.arange(40.0)[:, None], 2, axis=1))
+    out = tmp_path / "s.csv"
+    rc, _, err = run(
+        capsys, "sample", "--method", method, "--inputs", str(inputs), "--output", str(out)
+    )
+    assert rc == 0, err
+    rc, stdout, err = run(
+        capsys, "verify", "--sample", str(out), "--inputs", str(inputs), "--alpha", "0.05"
+    )
+    assert rc == 0, err
+    assert json.loads(stdout)["reject"] is False
+
+
 def test_sample_pciq_sidecar_records_rank_reached(tmp_path, capsys):
     """Nine identical inputs give a rank-one kernel, so the Nystrom
     factor stops at rank 1 although floor(sqrt(9)) = 3 was requested;
@@ -386,6 +404,18 @@ def test_verify_round_trip_accepts_faithful_sample(tmp_path, capsys):
     assert 0.0 < doc["statistic"] < 0.461
 
 
+def test_verify_bad_alpha_exits_two_before_reading_files(tmp_path, capsys):
+    """alpha must have a tabulated critical value; a bad one is a usage
+    error, found before the sample file is read."""
+    out = tmp_path / "v.csv"
+    assert run(capsys, "sample", "--method", "exact", "--n", "8", "--output", str(out))[0] == 0
+    for sample in (out, tmp_path / "missing.csv"):
+        rc, stdout, err = run(capsys, "verify", "--sample", str(sample), "--alpha", "0.07")
+        assert rc == 2 and stdout == ""
+        assert_one_error_line(err)
+        assert "alpha" in err
+
+
 def test_verify_missing_sidecar_exits_two(tmp_path, capsys):
     sample = tmp_path / "lonely.csv"
     sample.write_text("index,y\n0,1.0\n")
@@ -432,10 +462,11 @@ def test_verify_malformed_sidecar_exits_two(tmp_path, capsys, damage):
 
 
 def test_sample_ciq_sidecar_records_solver(tmp_path, capsys):
-    """A truncated Krylov solve is flagged in the sidecar; the
-    calculator-default iteration cap converges. Exact and rff sidecars
-    carry no solver block."""
-    sidecars = {}
+    """A truncated Krylov solve is flagged in the sidecar and by one
+    warning line on stderr; the calculator-default iteration cap
+    converges, with no warning. Exact and rff sidecars carry no solver
+    block."""
+    sidecars, errs = {}, {}
     for name, extra in [
         ("short", ["--method", "ciq", "--iterations", "1"]),
         ("default", ["--method", "ciq"]),
@@ -443,9 +474,11 @@ def test_sample_ciq_sidecar_records_solver(tmp_path, capsys):
         ("rff", ["--method", "rff", "--features", "16"]),
     ]:
         out = tmp_path / f"{name}.csv"
-        rc, _, _ = run(capsys, "sample", "--n", "200", "--output", str(out), *extra)
+        rc, _, errs[name] = run(capsys, "sample", "--n", "200", "--output", str(out), *extra)
         assert rc == 0
         sidecars[name] = json.loads((tmp_path / f"{name}.csv.json").read_text())
+    assert errs["short"].startswith("warning:") and len(errs["short"].splitlines()) == 1
+    assert errs["default"] == errs["exact"] == errs["rff"] == ""
     short = sidecars["short"]["solver"]
     assert short["iterations"] == 1
     assert short["converged"] is False and short["max_residual"] > 0.5

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gpforge import (
     FactorizationError,
+    FidelitySpec,
     KernelParams,
     SampleMethod,
     cholesky_factor,
@@ -17,6 +18,7 @@ from gpforge import (
 )
 from gpforge._streams import LATENT, stream
 from gpforge.kernel import GramMatrix
+from gpforge.stats import _Problem
 
 
 PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
@@ -169,14 +171,18 @@ class TestWhiten:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_whitening_inverts_the_factor(self, n, dim, lengthscale, noise_variance, seed):
-        """whiten(L u, K) == u up to rounding, for L the factor of K."""
+        """whiten(L u, K) == u up to rounding, for L the factor of K; and so
+        does the harness's path, where the exact draw L u and its whitening
+        share one factor, written in place of K."""
         p = KernelParams(
             variance=1.0, lengthscale=lengthscale, noise_variance=noise_variance, dim=dim
         )
-        _, K = noisy_gram(n, seed=seed, params=p)
+        X, K = noisy_gram(n, seed=seed, params=p)
         u = stream(seed, LATENT).standard_normal(n)
-        z = whiten(cholesky_factor(K) @ u, K)
-        assert float(np.max(np.abs(z - u))) <= 1e-9 * max(1.0, float(np.max(np.abs(u))))
+        problem = _Problem(X, p)
+        y = problem.draw(SampleMethod.Exact, FidelitySpec(), seed).y
+        for z in (whiten(cholesky_factor(K) @ u, K), problem.whiten(y)):
+            assert float(np.max(np.abs(z - u))) <= 1e-9 * max(1.0, float(np.max(np.abs(u))))
 
 
 class TestGpSampleValidation:

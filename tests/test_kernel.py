@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpforge import GramMatrix, InputData, KernelParams, gram, rbf, sample_inputs
@@ -254,3 +254,24 @@ class TestGramAssembly:
             for j in edges:
                 if i != j:
                     assert abs(K[i, j] - rbf(x[i], x[j], p)) <= tol[i, j]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        dim=st.sampled_from([1, 2, 3]),
+        shift=st.floats(-1e8, 1e8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=40, dim=1, shift=1e8, seed=0)
+    def test_far_from_the_origin_matches_direct_differences(self, n, dim, shift, seed):
+        """Points of spread at most 10 in each coordinate, shifted by up to
+        1e8, give the kernel of the stored points' direct pairwise
+        differences within 1e-12: no cancellation of ||x||^2 ~ 1e16."""
+        p = make_params(dim=dim)
+        offsets = np.random.default_rng(seed).uniform(0.0, 10.0, size=(n, dim))
+        X = InputData(points=offsets + shift)
+        K = gram(X, p).entries
+        x = X.points
+        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+        off = ~np.eye(n, dtype=bool)
+        assert np.max(np.abs(K - np.exp(-d2 / 2.0))[off]) <= 1e-12

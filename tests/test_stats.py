@@ -4,6 +4,8 @@ intervals and the rejection-rate experiment harness."""
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpforge
+from gpforge import stats as stats_module
 from gpforge import (
     ExperimentConfig,
     ExperimentReport,
@@ -483,6 +486,73 @@ class TestRejectionRateExperiment:
         threaded = rejection_rate_experiment(cfg, threads=2)
         assert serial.cells == threaded.cells
         assert serial.baseline == threaded.baseline
+
+    def test_worker_count_does_not_change_the_reports(self, monkeypatch):
+        """The CSV and the JSON report less its timing are byte-identical at
+        1, 2 and 4 workers, which split each cell into chunks of 3, 2 and 1
+        repeats. That includes a grid value that does not resolve and a
+        cell whose draws fail at some seeds: its message is that of its
+        lowest failing repeat, as a serial loop meets it."""
+        draw = stats_module._Problem.draw
+
+        def failing_draw(self, method, fidelity, seed):
+            if fidelity.D == 16 and seed % 3 == 0:
+                raise ValueError(f"no draw at seed {seed}")
+            return draw(self, method, fidelity, seed)
+
+        monkeypatch.setattr(stats_module._Problem, "draw", failing_draw)
+        cfg = ExperimentConfig(
+            method=SampleMethod.Rff,
+            n_list=(16, 24),
+            params=PARAMS,
+            fidelity_grid=(float("nan"), 4.0, 16.0),
+            repeats=9,
+            base_seed=17,
+        )
+        outputs = set()
+        for workers in (1, 2, 4):
+            report = rejection_rate_experiment(cfg, threads=workers)
+            doc = json.loads(report_to_json(report))
+            timing = doc.pop("timing")
+            outputs.add(("\n".join(report_csv_lines(report)), json.dumps(doc)))
+            assert [t.get("cell", t.get("baseline")) for t in timing] == [0, 1, 2, 3, 4, 5, 0, 1]
+            for entry, cell in zip(timing, report.cells + report.baseline):
+                seconds = entry["seconds"]
+                assert list(seconds) == ["inputs", "assemble", "factor", "draw", "whiten", "test"]
+                assert all(s > 0 for s in seconds.values()) or cell.failed
+        assert len(outputs) == 1
+        messages = [c.message for c in report.cells if c.failed]
+        assert len(messages) == 4 and sum(m.startswith("no draw at seed") for m in messages) == 2
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="workers are forked"
+    )
+    def test_dead_worker_fails_its_cells_and_the_sweep_returns(self, monkeypatch):
+        """A worker process that dies fails the cells whose chunks did not
+        return; the sweep still returns a report that renders."""
+        draw = stats_module._Problem.draw
+
+        def dying_draw(self, method, fidelity, seed):
+            if fidelity.D == 16:
+                os._exit(3)
+            return draw(self, method, fidelity, seed)
+
+        monkeypatch.setattr(stats_module._Problem, "draw", dying_draw)
+        cfg = ExperimentConfig(
+            method=SampleMethod.Rff,
+            n_list=(16,),
+            params=PARAMS,
+            fidelity_grid=(4.0, 16.0),
+            repeats=6,
+            base_seed=3,
+        )
+        report = rejection_rate_experiment(cfg, threads=2)
+        killed = report.cells[1]
+        assert killed.failed and "worker process died" in killed.message
+        for cell in report.cells + report.baseline:
+            assert (cell.failed and cell.message) or 0.0 <= cell.rate <= 1.0
+        assert len(report_csv_lines(report)) == 3
+        assert len(json.loads(report_to_json(report))["timing"]) == 3
 
     def test_broken_cell_is_isolated(self):
         """A fidelity value the sampler cannot digest marks its own
