@@ -9,6 +9,7 @@ that connects matrix error norms to statistical indistinguishability.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,19 +91,13 @@ class FidelitySpec:
         """Fill Q and J from the quadrature and iteration calculators.
 
         delta_Q defaults to half its cap so the quadrature and Krylov
-        error budgets are split evenly. This is the one place that
-        defaults delta_Q and checks it against its cap.
+        error budgets are split evenly. ciq_min_quadrature refuses a
+        delta_Q outside (0, 1) and ciq_min_iterations one at or above
+        its cap.
         """
         cls(epsilon=epsilon, eta=eta)  # rejects either out of range before sqrt(1 - eta)
-        sigma_xi = math.sqrt(params.noise_variance)
-        cap = epsilon * sigma_xi * math.sqrt(1.0 - eta)
-        if delta_Q is None:
-            delta_Q = 0.5 * cap
-        if not 0 < delta_Q < cap:
-            raise ValueError(
-                f"delta_Q={delta_Q} violates 0 < delta_Q < "
-                f"epsilon*sigma_xi*sqrt(1-eta) = {cap}"
-            )
+        if delta_Q is None:  # half of epsilon * sigma_xi * sqrt(1 - eta)
+            delta_Q = 0.5 * (epsilon * math.sqrt(params.noise_variance) * math.sqrt(1.0 - eta))
         Q = ciq_min_quadrature(n, eta, params.noise_variance, delta_Q)
         J = ciq_min_iterations(n, eta, params.noise_variance, epsilon, delta_Q, Q)
         return cls(epsilon=epsilon, delta_Q=delta_Q, eta=eta, Q=Q, J=J)
@@ -126,9 +121,16 @@ class DecayModel:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
 
 
-def _ceil_even(x: float) -> int:
-    d = max(2, int(math.ceil(x)))
-    return d if d % 2 == 0 else d + 1
+def _finite(name: str, formula: Callable[[], float]) -> float:
+    """formula(); one that raises at extreme inputs (a square overflows, a divisor
+    underflows to zero) or gives inf or NaN is refused with ValueError."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not a finite number at these inputs")
+    return value
 
 
 def rff_min_features(n: int, epsilon: float, delta: float, sigma_xi2: float) -> int:
@@ -141,7 +143,9 @@ def rff_min_features(n: int, epsilon: float, delta: float, sigma_xi2: float) -> 
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     log_term = math.log(n / math.sqrt(delta))
-    return _ceil_even(8.0 * log_term * n**2 / (8.0 * epsilon**2 * sigma_xi2**2))
+    raw = _finite("D", lambda: 8.0 * log_term * n**2 / (8.0 * epsilon**2 * sigma_xi2**2))
+    D = max(2, math.ceil(raw))
+    return D + D % 2
 
 
 def rff_element_budget(n: int, epsilon: float, sigma_xi2: float) -> float:
@@ -179,8 +183,11 @@ def ciq_min_quadrature(n: int, eta: float, sigma_xi2: float, delta_Q: float) -> 
     _check_noise_split(n, eta, sigma_xi2)
     if not 0 < delta_Q < 1:
         raise ValueError(f"delta_Q must lie in (0, 1), got {delta_Q}")
-    raw = (math.log(n / (eta * sigma_xi2)) + 3.0) * (-math.log(delta_Q)) / (2.0 * math.pi**2)
-    return max(1, int(math.ceil(raw)))
+    raw = _finite(
+        "Q",
+        lambda: (math.log(n / (eta * sigma_xi2)) + 3.0) * (-math.log(delta_Q)) / (2.0 * math.pi**2),
+    )
+    return max(1, math.ceil(raw))
 
 
 def ciq_min_iterations(
@@ -200,17 +207,20 @@ def ciq_min_iterations(
     headroom = _krylov_headroom(n, eta, sigma_xi2, epsilon, delta_Q)
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
-    kappa = n / (eta * sigma_xi2) + 1.0
-    lam_n = eta * sigma_xi2
-    sqrt_k = math.sqrt(kappa)
-    prefactor = math.log(sqrt_k - 1.0) - math.log(sqrt_k + 1.0)
-    inner = (
-        math.pi
-        * headroom
-        / (2.0 * Q * math.sqrt(lam_n) * kappa * math.sqrt(n) * math.log(5.0 * sqrt_k))
-    )
-    raw = 1.0 + math.log(inner) / prefactor
-    return max(1, int(math.ceil(raw)))
+
+    def raw() -> float:
+        kappa = n / (eta * sigma_xi2) + 1.0
+        lam_n = eta * sigma_xi2
+        sqrt_k = math.sqrt(kappa)
+        prefactor = math.log(sqrt_k - 1.0) - math.log(sqrt_k + 1.0)
+        inner = (
+            math.pi
+            * headroom
+            / (2.0 * Q * math.sqrt(lam_n) * kappa * math.sqrt(n) * math.log(5.0 * sqrt_k))
+        )
+        return 1.0 + math.log(inner) / prefactor
+
+    return max(1, math.ceil(_finite("J", raw)))
 
 
 def precond_min_iterations(
@@ -227,13 +237,11 @@ def precond_min_iterations(
         raise ValueError(f"lambda_kp1 must be >= 0, got {lambda_kp1}")
     headroom = _krylov_headroom(n, eta, sigma_xi2, epsilon, delta_Q)
     sigma_xi = math.sqrt(sigma_xi2)
-    raw = 1.0 + (
-        math.sqrt(lambda_kp1)
-        * n**0.375
-        / (math.sqrt(eta) * sigma_xi)
-        * (1.25 * math.log(n) - math.log(headroom) + C_tilde)
+    tail = 1.25 * math.log(n) - math.log(headroom) + C_tilde
+    raw = _finite(
+        "J", lambda: 1.0 + math.sqrt(lambda_kp1) * n**0.375 / (math.sqrt(eta) * sigma_xi) * tail
     )
-    return max(1, int(math.ceil(raw)))
+    return max(1, math.ceil(raw))
 
 
 def decay_regime(n: int, model: DecayModel) -> tuple[float, str, float]:
@@ -258,7 +266,7 @@ def condition_number_bound(n: int, eta: float, sigma_xi2: float, sigma_f2: float
     """Analytic condition-number envelope for the noisy Gram matrix."""
     if n < 1 or sigma_xi2 <= 0 or sigma_f2 <= 0 or not 0 < eta <= 1:
         raise ValueError("arguments must be positive with eta in (0, 1]")
-    return n * sigma_f2 / (eta * sigma_xi2) + 1.0
+    return _finite("kappa_bound", lambda: n * sigma_f2 / (eta * sigma_xi2) + 1.0)
 
 
 def ciq_error_bound(
@@ -318,27 +326,6 @@ def tv_from_kl(kl: float) -> float:
     if not kl >= 0:
         raise ValueError(f"kl must be >= 0, got {kl}")
     return min(1.0, math.sqrt(kl / 2.0))
-
-
-def error_rate_bounds(tv: float) -> tuple[float, float]:
-    """Range of achievable error rates for the optimal two-sample decision."""
-    if not 0 <= tv <= 1:
-        raise ValueError(f"tv must lie in [0, 1], got {tv}")
-    return 0.5 - tv / 2.0, 0.5 + tv / 2.0
-
-
-def indistinguishability_epsilon(tv: float) -> float:
-    """Smallest indistinguishability level certified by a TV distance."""
-    if not 0 <= tv <= 1:
-        raise ValueError(f"tv must lie in [0, 1], got {tv}")
-    return tv / 2.0
-
-
-def chi_mean(n: int) -> float:
-    """Expected Euclidean norm of a standard normal n-vector."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return math.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
 
 
 def belkin_lambda_bound(k: int, n: int, model: DecayModel) -> float:

@@ -31,19 +31,12 @@ class QuadratureScheme:
     """Shifted-system decomposition of the square root on a spectral interval.
 
     Applying sum_q weights[q] * K (shifts[q] I + K)^(-1) u approximates
-    K^(1/2) u for any symmetric K whose spectrum lies within
-    [lambda_min, lambda_max].
+    K^(1/2) u for any symmetric K whose spectrum lies within the interval
+    the scheme was built for.
     """
 
-    Q: int
     shifts: np.ndarray
     weights: np.ndarray
-    lambda_min: float
-    lambda_max: float
-
-    def apply_scalar(self, a: float) -> float:
-        """Evaluate the rational approximation of sqrt(a) at a scalar a."""
-        return float(np.sum(self.weights * a / (self.shifts + a)))
 
 
 @dataclass(frozen=True)
@@ -75,11 +68,8 @@ def build_quadrature(lambda_min: float, lambda_max: float, Q: int) -> Quadrature
     t = (np.arange(Q) + 0.5) * Kp / Q
     sn, cn, dn, _ = scipy.special.ellipj(t, 1.0 - ratio)
     return QuadratureScheme(
-        Q=Q,
         shifts=lambda_min * (sn / cn) ** 2,
         weights=(2.0 * Kp * math.sqrt(lambda_min) / (math.pi * Q)) * dn / cn**2,
-        lambda_min=float(lambda_min),
-        lambda_max=float(lambda_max),
     )
 
 

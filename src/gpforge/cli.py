@@ -29,6 +29,7 @@ from .stats import (
     DEFAULT_ALPHA,
     ExperimentConfig,
     _critical_value,
+    _format_value,
     _Problem,
     cvm_test,
     draw,
@@ -57,10 +58,6 @@ _SAMPLE_FLAG_METHODS = {
 
 class UsageError(ValueError):
     """Invalid flags or configuration; maps to exit code 2."""
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _resolve_seed(seed: int) -> int:
@@ -174,7 +171,7 @@ def _read_inputs(path: str, dim: int) -> InputData:
     """Points from a CSV file with header x0,x1,...; points InputData refuses are a usage error."""
     points = _read_table(path, [f"x{i}" for i in range(dim)])
     try:
-        return InputData(points=points, seed=None)
+        return InputData(points=points)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
@@ -188,7 +185,7 @@ def _inputs_sha256(X: InputData) -> str:
 def _write_sample(sample: GpSample, X: InputData, output: str) -> None:
     lines = ["index,y"]
     for i, value in enumerate(sample.y):
-        lines.append(f"{i},{_fmt(value)}")
+        lines.append(f"{i},{_format_value(value)}")
     Path(output).write_text("\n".join(lines) + "\n")
     sidecar = {
         "method": sample.method.value,
@@ -313,7 +310,7 @@ def cmd_precond_sweep(args: argparse.Namespace) -> int:
     rows = precond_mod.effectiveness_sweep(n_list, lengthscales, params, seed)
     lines = ["n,lengthscale,metric"]
     for n, ls, metric in rows:
-        lines.append(f"{n},{_fmt(ls)},{_fmt(metric)}")
+        lines.append(f"{n},{_format_value(ls)},{_format_value(metric)}")
     Path(args.output).write_text("\n".join(lines) + "\n")
     return 0
 
@@ -324,7 +321,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _critical_value(args.alpha)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    y = _read_table(args.sample, ["index", "y"])[:, 1]
+    index, y = _read_table(args.sample, ["index", "y"]).T
+    if not np.array_equal(index, np.arange(len(y))):
+        raise UsageError(f"{args.sample}: the index column must run 0..{len(y) - 1} in order")
     sidecar_path = Path(args.sample + ".json")
     if not sidecar_path.exists():
         raise UsageError(f"sidecar {sidecar_path} not found")

@@ -28,9 +28,9 @@ _GRAM_BLOCK = 128
 class KernelParams:
     """Squared-exponential hyperparameters plus the observation noise level.
 
-    variance        signal variance (>= 0)
-    lengthscale     kernel lengthscale (> 0)
-    noise_variance  observation noise variance (> 0)
+    variance        signal variance (finite, >= 0)
+    lengthscale     kernel lengthscale (finite, > 0)
+    noise_variance  observation noise variance (finite, > 0)
     dim             input dimensionality (integer >= 1)
     """
 
@@ -40,12 +40,12 @@ class KernelParams:
     dim: int
 
     def __post_init__(self) -> None:
-        if not self.variance >= 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
-        if not self.lengthscale > 0:
-            raise ValueError(f"lengthscale must be > 0, got {self.lengthscale}")
-        if not self.noise_variance > 0:
-            raise ValueError(f"noise_variance must be > 0, got {self.noise_variance}")
+        if not 0 <= self.variance < math.inf:
+            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
+        if not 0 < self.lengthscale < math.inf:
+            raise ValueError(f"lengthscale must be finite and > 0, got {self.lengthscale}")
+        if not 0 < self.noise_variance < math.inf:
+            raise ValueError(f"noise_variance must be finite and > 0, got {self.noise_variance}")
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValueError(f"dim must be an integer >= 1, got {self.dim}")
 
@@ -96,10 +96,9 @@ def json_object(d: object, what: str, names: Iterable[str], required: Iterable[s
 
 @dataclass(frozen=True)
 class InputData:
-    """A set of input locations (n x d, float64) and the seed that produced it."""
+    """A set of input locations (n x d, float64)."""
 
     points: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=np.float64)
@@ -138,18 +137,6 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def rbf(x: np.ndarray, x_prime: np.ndarray, params: KernelParams) -> float:
-    """Evaluate k(x, x') for a single pair of d-vectors."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    x_prime = np.asarray(x_prime, dtype=np.float64).ravel()
-    if x.shape != x_prime.shape:
-        raise ValueError(
-            f"dimension mismatch: x has shape {x.shape}, x' has shape {x_prime.shape}"
-        )
-    d2 = float(np.sum((x - x_prime) ** 2))
-    return float(params.variance * np.exp(-d2 / (2.0 * params.lengthscale**2)))
-
-
 def _draw_inputs(g: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """The next n rows of an input stream, each from Normal(0, I_d / d)."""
     return g.standard_normal((n, dim)) / np.sqrt(dim)
@@ -164,7 +151,7 @@ def sample_inputs(n: int, params: KernelParams, seed: int) -> InputData:
     if n < 1:
         raise ValueError(f"need n >= 1 input points, got {n}")
     pts = _draw_inputs(_streams.stream(seed, _streams.INPUTS), n, params.dim)
-    return InputData(points=pts, seed=seed)
+    return InputData(points=pts)
 
 
 def gram(X: InputData, params: KernelParams, jitter: float = 0.0) -> GramMatrix:

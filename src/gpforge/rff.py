@@ -43,7 +43,6 @@ class FrequencyMatrix:
     """
 
     omegas: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         om = np.asarray(self.omegas, dtype=np.float64)
@@ -69,7 +68,7 @@ def sample_frequencies(D: int, params: KernelParams, seed: int) -> FrequencyMatr
     """Draw D/2 frequency rows from the spectral density Normal(0, I_d / l^2)."""
     FidelitySpec(D=D)  # rejects an odd or too small D
     g = _streams.stream(seed, _streams.FREQUENCIES)
-    return FrequencyMatrix(omegas=_draw_frequencies(g, D // 2, params), seed=seed)
+    return FrequencyMatrix(omegas=_draw_frequencies(g, D // 2, params))
 
 
 def _feature_rows(X: np.ndarray, omegas: np.ndarray, D: int) -> np.ndarray:

@@ -11,15 +11,12 @@ from gpforge import (
     FidelitySpec,
     KernelParams,
     belkin_lambda_bound,
-    chi_mean,
     ciq_error_bound,
     ciq_min_iterations,
     ciq_min_quadrature,
     condition_number_bound,
     decay_regime,
-    error_rate_bounds,
     gram,
-    indistinguishability_epsilon,
     kl_frobenius_bound,
     kl_gaussian_marginal,
     precond_min_iterations,
@@ -167,6 +164,26 @@ class TestCiqMinIterations:
     def test_cap_violation_rejected(self):
         with pytest.raises(ValueError):
             ciq_min_iterations(1024, 0.5, 0.25, 0.1, self.CAP, 3)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        lambda: rff_min_features(8, 0.1, 0.01, 1e-200),
+        lambda: ciq_min_quadrature(8, 0.5, 1e-320, 1e-3),
+        lambda: ciq_min_iterations(8, 0.5, 5e-324, 0.1, 1e-170, 1),
+        lambda: precond_min_iterations(1e308, 8, 0.5, 1e-310, 1.0, 1e-160),
+        lambda: condition_number_bound(8, 0.5, 1e-320, 1.0),
+    ],
+    ids=["D-divisor-underflows", "Q-infinite", "J-divisor-underflows", "precond-J-infinite",
+         "kappa-infinite"],
+)
+def test_value_that_is_not_finite_is_refused(value):
+    """A square or product that underflows to a zero divisor raised
+    ZeroDivisionError, ceil(inf) OverflowError, and the condition-number
+    bound came back inf: each is ValueError now."""
+    with pytest.raises(ValueError, match="not a finite number"):
+        value()
 
 
 class TestPrecondMinIterations:
@@ -382,49 +399,6 @@ class TestTvFromKl:
         """NaN passes `kl < 0`; it used to give a TV bound of 1.0."""
         with pytest.raises(ValueError):
             tv_from_kl(math.nan)
-
-
-class TestDecisionRateRelations:
-    def test_endpoints(self):
-        assert error_rate_bounds(0.0) == (0.5, 0.5)
-        assert error_rate_bounds(1.0) == (0.0, 1.0)
-
-    def test_worked_example(self):
-        lo, hi = error_rate_bounds(0.1)
-        assert lo == pytest.approx(0.45)
-        assert hi == pytest.approx(0.55)
-
-    def test_epsilon_relation(self):
-        assert indistinguishability_epsilon(0.1) == pytest.approx(0.05)
-        assert indistinguishability_epsilon(0.0) == 0.0
-
-    def test_rate_and_epsilon_consistent(self):
-        for tv in (0.0, 0.3, 0.77, 1.0):
-            lo, _ = error_rate_bounds(tv)
-            assert lo == pytest.approx(0.5 - indistinguishability_epsilon(tv))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            error_rate_bounds(1.2)
-        with pytest.raises(ValueError):
-            indistinguishability_epsilon(-0.1)
-
-
-class TestChiMean:
-    def test_one_dimensional(self):
-        assert chi_mean(1) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
-
-    def test_four_dimensional(self):
-        assert chi_mean(4) == pytest.approx(math.sqrt(2.0) * 3.0 * math.sqrt(math.pi) / 4.0, rel=1e-12)
-        assert chi_mean(4) == pytest.approx(1.8800, abs=5e-5)
-
-    def test_never_exceeds_sqrt_n(self):
-        for n in (1, 2, 3, 10, 100, 10_000, 1_000_000):
-            assert chi_mean(n) <= math.sqrt(n)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            chi_mean(0)
 
 
 class TestBelkinLambdaBound:

@@ -146,12 +146,14 @@ def assert_one_error_line(err):
         ["--quadrature", "0"],
         ["--iterations", "0"],
         ["--n", "0"],
+        ["--noise-variance", "1e-320"],
     ],
-    ids=["eps", "eta", "rank-0", "rank-above-n", "quadrature", "iterations", "n"],
+    ids=["eps", "eta", "rank-0", "rank-above-n", "quadrature", "iterations", "n", "Q-not-finite"],
 )
 def test_sample_invalid_fidelity_exits_two(tmp_path, capsys, flags):
     """Every fidelity value is checked before any work: a bad one is a
-    usage error, and no sample is written."""
+    usage error, and no sample is written. That includes a Q or J that is
+    not a finite number, which used to raise OverflowError from ceil(inf)."""
     out = tmp_path / "s.csv"
     rc, _, err = run(
         capsys, "sample", "--method", "pciq", "--n", "16", "--output", str(out), *flags
@@ -168,11 +170,21 @@ def test_sample_invalid_fidelity_exits_two(tmp_path, capsys, flags):
         ["--method", "rff", "--n", "0", "--eps", "0.1"],
         ["--method", "ciq", "--n", "16", "--eps", "0.1", "--eta", "1.5"],
         ["--method", "rff", "--n", "16", "--eps", "2"],
+        ["--method", "rff", "--n", "8", "--eps", "0.1", "--noise-variance", "1e-200"],
+        ["--method", "ciq", "--n", "8", "--eps", "0.1", "--noise-variance", "1e-320"],
+        ["--method", "pciq", "--n", "8", "--eps", "0.1", "--noise-variance", "1e-320"],
+        ["--method", "exact", "--n", "8", "--eps", "0.1", "--noise-variance", "1e-320"],
+        ["--method", "exact", "--n", "8", "--eps", "0.1", "--noise-variance", "5e-324"],
     ],
-    ids=["delta", "n", "eta", "eps"],
+    ids=["delta", "n", "eta", "eps", "D-not-finite", "Q-not-finite", "pciq-Q-not-finite",
+         "kappa-not-finite", "kappa-divisor-underflows"],
 )
 def test_bounds_invalid_flag_exits_two(capsys, flags):
-    """An invalid budget or size is a usage error and prints no number."""
+    """An invalid budget or size is a usage error and prints no number.
+    So is one that makes a printed value not a finite number: rff's
+    sigma_xi2**2 underflowed to 0 (ZeroDivisionError), ciq's Q was
+    ceil(inf) (OverflowError), and kappa_bound was printed as Infinity,
+    which is not JSON, or raised ZeroDivisionError."""
     rc, out, err = run(capsys, "bounds", *flags)
     assert rc == 2 and out == ""
     assert_one_error_line(err)
@@ -862,3 +874,50 @@ def test_verify_refuses_inputs_the_sample_was_not_drawn_at(tmp_path, capsys, cas
     else:
         assert rc == 0
         assert json.loads(stdout)["reject"] is False
+
+
+@pytest.mark.parametrize("order", ["reversed", "shifted"])
+def test_verify_refuses_an_index_that_is_not_0_to_n_minus_1(tmp_path, capsys, order):
+    """Row i of a sample is the draw at input i. verify used to drop the
+    index column, so the rows of an exact n=8 sample in reverse order, or
+    indexed 100..107, verified with exit 0 against the wrong inputs."""
+    out = tmp_path / "s.csv"
+    assert run(capsys, "sample", "--method", "exact", "--n", "8", "--output", str(out))[0] == 0
+    header, *rows = out.read_text().splitlines()
+    if order == "reversed":
+        rows = rows[::-1]
+    else:
+        rows = [f"{100 + i},{row.split(',')[1]}" for i, row in enumerate(rows)]
+    out.write_text("\n".join([header, *rows]) + "\n")
+    rc, stdout, err = run(capsys, "verify", "--sample", str(out))
+    assert rc == 2 and stdout == ""
+    assert_one_error_line(err)
+    assert "index" in err
+
+
+@pytest.mark.parametrize(
+    "case", ["bounds variance", "sample variance", "sample noise variance", "config params"]
+)
+def test_infinite_kernel_value_exits_two(tmp_path, capsys, case):
+    """Kernel values must be finite. `bounds --variance inf` printed
+    `"kappa_bound": Infinity`, which is not JSON; `sample` exited 1 on
+    an infinite variance or noise variance; and a config's `Infinity`,
+    which Python's json reads, got through."""
+    sample = ["sample", "--method", "exact", "--n", "8", "--output", str(tmp_path / "s.csv")]
+    if case == "bounds variance":
+        argv = ["bounds", "--method", "rff", "--n", "8", "--eps", "0.1", "--variance", "inf"]
+    elif case == "sample variance":
+        argv = sample + ["--variance", "inf"]
+    elif case == "sample noise variance":
+        argv = sample + ["--noise-variance", "inf"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            '{"schema_version": 1, "method": "exact", "n_list": [8], "repeats": 2, '
+            '"params": {"variance": Infinity}}'
+        )
+        argv = ["experiment", "--config", str(config), "--output", str(tmp_path / "o.csv")]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert_one_error_line(err)
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "o.csv").exists()

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpforge import GramMatrix, InputData, KernelParams, gram, rbf, sample_inputs
+from gpforge import GramMatrix, InputData, KernelParams, gram, sample_inputs
 from gpforge.kernel import _GRAM_BLOCK
 
 B = _GRAM_BLOCK
+
+
+def rbf(x, x_prime, params):
+    """k(x, x') for one pair of d-vectors, from the definition: the oracle for gram."""
+    d2 = float(np.sum((x - x_prime) ** 2))
+    return float(params.variance * np.exp(-d2 / (2.0 * params.lengthscale**2)))
 
 
 def make_params(**overrides):
@@ -50,6 +56,17 @@ class TestKernelParams:
         with pytest.raises(ValueError, match=field):
             make_params(**{field: math.nan})
 
+    @pytest.mark.parametrize("field", ["variance", "lengthscale", "noise_variance"])
+    def test_rejects_infinity(self, field):
+        """+inf passed every check: an infinite variance or noise variance
+        reached the samplers (exit 1) and the calculators (a kappa_bound
+        of Infinity), and a config file's Infinity reaches from_dict."""
+        for value in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match=field):
+                make_params(**{field: value})
+            with pytest.raises(ValueError, match=field):
+                KernelParams.from_dict({**make_params().to_dict(), field: value})
+
     def test_dict_round_trip(self):
         p = make_params(variance=2.0, lengthscale=0.3, noise_variance=0.1, dim=3)
         d = p.to_dict()
@@ -68,47 +85,6 @@ class TestKernelParams:
     def test_from_dict_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             KernelParams.from_dict(bad)
-
-
-class TestRbf:
-    """Pointwise covariance values."""
-
-    def test_zero_distance_gives_variance(self):
-        """k(x, x) equals the kernel scale for any input."""
-        p = make_params(variance=2.5)
-        x = np.array([0.3, -1.2])
-        assert rbf(x, x, p) == pytest.approx(2.5)
-
-    def test_unit_parameters_known_value(self):
-        """Squared distance 2 at unit scale and lengthscale gives e^-1."""
-        p = make_params()
-        x = np.array([0.0, 0.0])
-        y = np.array([1.0, 1.0])
-        assert rbf(x, y, p) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_huge_lengthscale_approaches_variance(self):
-        p = make_params(variance=1.7, lengthscale=1e8)
-        x = np.array([3.0, -2.0])
-        y = np.array([-1.0, 4.0])
-        assert rbf(x, y, p) == pytest.approx(1.7, rel=1e-6)
-
-    def test_symmetric_in_arguments(self):
-        p = make_params(lengthscale=0.7)
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            x, y = rng.standard_normal(2), rng.standard_normal(2)
-            assert rbf(x, y, p) == rbf(y, x, p)
-
-    def test_bounded_by_variance(self):
-        p = make_params(variance=3.0, lengthscale=0.5)
-        rng = np.random.default_rng(7)
-        vals = [rbf(rng.standard_normal(2), rng.standard_normal(2), p) for _ in range(200)]
-        assert all(0.0 <= v <= 3.0 for v in vals)
-
-    def test_dimension_mismatch_rejected(self):
-        p = make_params(dim=2)
-        with pytest.raises(ValueError):
-            rbf(np.zeros(3), np.zeros(2), p)
 
 
 class TestSampleInputs:
@@ -231,7 +207,7 @@ class TestGramAssembly:
         self, n, dim, variance, lengthscale, jitter, seed
     ):
         """K is exactly symmetric, its diagonal is exactly variance +
-        jitter, and every entry is within 4 ulp * variance of kernel.rbf,
+        jitter, and every entry is within 4 ulp * variance of the rbf oracle,
         widened by the cancellation of the expanded squared distance:
         the factor (||x||^2 + ||x'||^2) / (2 l^2) where that exceeds 1."""
         p = make_params(variance=variance, lengthscale=lengthscale, dim=dim)
@@ -244,7 +220,7 @@ class TestGramAssembly:
         sq = np.sum(x * x, axis=1)
         widen = np.maximum(1.0, (sq[:, None] + sq[None, :]) / (2.0 * lengthscale**2))
         tol = 4.0 * np.finfo(float).eps * variance * widen
-        # kernel.rbf's formula for every pair at once, and rbf itself on some pairs
+        # the rbf oracle's formula for every pair at once, and the oracle itself on some pairs
         d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
         ref = variance * np.exp(-d2 / (2.0 * lengthscale**2))
         off = ~np.eye(n, dtype=bool)

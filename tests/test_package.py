@@ -2,6 +2,8 @@
 
 import ast
 import inspect
+import re
+from pathlib import Path
 
 import gpforge
 
@@ -19,3 +21,24 @@ def test_all_lists_exactly_the_names_bound_from_submodules():
     public = {name for name in imported if not name.startswith("_")}
     assert len(gpforge.__all__) == len(set(gpforge.__all__))
     assert set(gpforge.__all__) == public | {"__version__"}
+
+
+def test_every_export_is_read_outside_its_own_definition():
+    """A public name only its own unit tests read is surface to delete:
+    each export but __version__ must appear in the library's modules, the
+    benchmark or the acceptance tests on some line other than its own
+    `def` or `class` line."""
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((root / "src" / "gpforge").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "bench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    lines = [line for path in files for line in path.read_text().splitlines()]
+    unread = [
+        name
+        for name in gpforge.__all__
+        if name != "__version__"
+        and not any(
+            re.search(rf"\b{name}\b", line) and not re.match(rf"\s*(def|class) {name}\b", line)
+            for line in lines
+        )
+    ]
+    assert unread == []
