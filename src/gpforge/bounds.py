@@ -72,14 +72,6 @@ class FidelitySpec:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
 
     @classmethod
-    def for_rff(
-        cls, n: int, params: KernelParams, epsilon: float, delta: float
-    ) -> "FidelitySpec":
-        """Fill D with the sufficient feature count for the given budget."""
-        D = rff_min_features(n, epsilon, delta, params.noise_variance)
-        return cls(epsilon=epsilon, delta=delta, D=D)
-
-    @classmethod
     def for_ciq(
         cls,
         n: int,
@@ -143,7 +135,15 @@ def rff_min_features(n: int, epsilon: float, delta: float, sigma_xi2: float) -> 
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     log_term = math.log(n / math.sqrt(delta))
-    raw = _finite("D", lambda: 8.0 * log_term * n**2 / (8.0 * epsilon**2 * sigma_xi2**2))
+
+    def quotient() -> float:
+        try:
+            return 8.0 * log_term * n**2 / (8.0 * epsilon**2 * sigma_xi2**2)
+        except OverflowError:  # a square above the float range: the same quotient in logs
+            log_denominator = 2.0 * (math.log(epsilon) + math.log(sigma_xi2))
+            return math.exp(math.log(log_term * n**2) - log_denominator)
+
+    raw = _finite("D", quotient)
     D = max(2, math.ceil(raw))
     return D + D % 2
 

@@ -126,7 +126,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         )
         payload["regime"] = bounds_mod.decay_regime(args.n, model)[1]
         if method is SampleMethod.Rff:
-            payload["D"] = FidelitySpec.for_rff(args.n, params, args.eps, args.delta).D
+            payload["D"] = bounds_mod.rff_min_features(args.n, args.eps, args.delta, sigma_xi2)
         elif method in (SampleMethod.Ciq, SampleMethod.CiqPreconditioned):
             spec = FidelitySpec.for_ciq(args.n, params, args.eps, args.eta, args.delta_q)
             payload.update(delta_Q=spec.delta_Q, Q=spec.Q, J=spec.J)

@@ -16,7 +16,7 @@ import multiprocessing
 import os
 import time
 import typing
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -299,10 +299,12 @@ class _Problem:
         return _ciq_draw(self.K_xi(), p, fidelity.eta, fidelity.Q, fidelity.J, seed, fidelity.rank)
 
 
-def _plan_cell(config: ExperimentConfig, n: int, grid_value: float | None) -> ExperimentCell:
-    """The cell at one grid point before any repeat runs, with a NaN rate:
-    failed, with no `ran`, if the grid value does not resolve."""
-    rescaler = fidelity_rescaler(config.method, n)  # None for exact cells, 0 at n=1
+def _plan_cell(
+    config: ExperimentConfig, method: SampleMethod, n: int, grid_value: float | None
+) -> ExperimentCell:
+    """The cell of `method` at one grid point before any repeat runs, with a
+    NaN rate: failed, with no `ran`, if the grid value does not resolve."""
+    rescaler = fidelity_rescaler(method, n)  # None for exact cells, 0 at n=1
     fidelity = grid_value
     if config.fidelity_as_fraction and rescaler is not None:
         fidelity = grid_value * rescaler
@@ -310,13 +312,13 @@ def _plan_cell(config: ExperimentConfig, n: int, grid_value: float | None) -> Ex
     try:
         # grid values become counts here: D to an even integer >= 2, J to an integer >= 1
         D = J = None
-        if config.method is SampleMethod.Rff:
+        if method is SampleMethod.Rff:
             D = max(2, round(fidelity))
             D += D % 2
         elif fidelity is not None:
             J = max(1, round(fidelity))
         ran = resolve_fidelity(
-            config.method, n, config.params, D=D, J=J, eta=config.eta, epsilon=config.epsilon
+            method, n, config.params, D=D, J=J, eta=config.eta, epsilon=config.epsilon
         )
     except Exception as exc:  # any value that does not resolve fails only its cell
         message = str(exc)
@@ -327,7 +329,7 @@ def _plan_cell(config: ExperimentConfig, n: int, grid_value: float | None) -> Ex
         ci_low=math.nan,
         ci_high=math.nan,
         repeats=config.repeats,
-        method=config.method.value,
+        method=method.value,
         rescaled_fidelity=fidelity / rescaler if rescaler else None,
         failed=ran is None,
         message=message,
@@ -336,21 +338,16 @@ def _plan_cell(config: ExperimentConfig, n: int, grid_value: float | None) -> Ex
 
 
 def _run_repeats(
-    config: ExperimentConfig,
-    n: int,
-    ran: FidelitySpec,
-    cell_index: int,
-    seed_tag: int,
-    start: int,
-    stop: int,
+    config: ExperimentConfig, cell: ExperimentCell, seed_path: tuple[int, int],
+    start: int, stop: int,
 ) -> tuple[int, dict[str, float], tuple[int, str] | None]:
-    """Generate, whiten and test repeats start..stop-1 of one cell.
+    """Generate, whiten and test repeats start..stop-1 of one planned cell.
 
     Returns the rejection count, the seconds spent per stage, and the
     failure: None, or (repeat, message) for the first repeat that
     raised, after which no repeat runs.
     """
-    params = config.params
+    params, method = config.params, SampleMethod(cell.method)
     seconds = dict.fromkeys(_STAGES, 0.0)
     last = time.perf_counter()
 
@@ -363,15 +360,15 @@ def _run_repeats(
     rejections = 0
     for r in range(start, stop):
         try:
-            seed = _streams.derive_seed(config.base_seed, seed_tag, cell_index, r)
-            problem = _Problem(sample_inputs(n, params, seed), params)
+            seed = _streams.derive_seed(config.base_seed, *seed_path, r)
+            problem = _Problem(sample_inputs(cell.n, params, seed), params)
             lap("inputs")
             problem.K_xi()
             lap("assemble")
-            if config.method is SampleMethod.Exact:  # the exact draw is L u
+            if method is SampleMethod.Exact:  # the exact draw is L u
                 problem.factor()
                 lap("factor")
-            y = problem.draw(config.method, ran, seed).y
+            y = problem.draw(method, cell.ran, seed).y
             lap("draw")
             problem.factor()
             lap("factor")
@@ -384,49 +381,32 @@ def _run_repeats(
     return rejections, seconds, None
 
 
-def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
-    """The (get, set) thread-count functions of each OpenBLAS this process
-    has loaded, as numpy and scipy do; their symbols may carry a scipy_
-    prefix and a 64_ suffix. Empty where /proc/self/maps cannot be read."""
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS this process has loaded, as numpy and scipy do, to
+    one thread; its setter may carry a scipy_ prefix and a 64_ suffix. Each
+    worker runs this on start, so that workers that each run one BLAS thread
+    do not oversubscribe the cores. Does nothing where /proc/self/maps cannot
+    be read."""
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
-        return []
+        return
     paths = {
         fields[5] for fields in (line.split(maxsplit=5) for line in maps.splitlines())
         if len(fields) == 6 and "openblas" in os.path.basename(fields[5])
     }
-    controls = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)  # already loaded: this only takes another reference
         except OSError:
             continue
-        for prefix, suffix in [(p, s) for s in ("64_", "") for p in ("scipy_", "")]:
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
                 break
-    return controls
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin every loaded OpenBLAS to one thread, and restore the old counts
-    on exit. Forking while OpenBLAS threads run can deadlock the child, and
-    workers that each run one BLAS thread do not oversubscribe the cores."""
-    controls = _openblas_thread_controls()
-    before = [get() for get, _ in controls]
-    try:
-        for _, set_ in controls:
-            set_(1)
-        yield
-    finally:
-        for (_, set_), count in zip(controls, before):
-            set_(count)
 
 
 def _run_tasks(tasks: list[tuple], workers: int) -> list:
@@ -439,7 +419,7 @@ def _run_tasks(tasks: list[tuple], workers: int) -> list:
     # Fork copies only this thread, so a caller's other threads must not hold
     # locks the workers take; gpforge itself starts none.
     context = multiprocessing.get_context("fork")
-    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(workers, context, initializer=_one_blas_thread) as pool:
         futures = []
         with contextlib.suppress(BrokenProcessPool):  # a worker died while tasks were queued
             for task in tasks:
@@ -470,60 +450,53 @@ def rejection_rate_experiment(
     the sweep still returns its report.
     """
     fidelities = (None,) if config.method is SampleMethod.Exact else config.fidelity_grid
-    cells_in_grid = [(n, raw) for n in config.n_list for raw in fidelities]
-    jobs = [(config, n, raw, idx, 0) for idx, (n, raw) in enumerate(cells_in_grid)]
+    grid = [(n, raw) for n in config.n_list for raw in fidelities]
+    plans = [(_plan_cell(config, config.method, *point), (0, i)) for i, point in enumerate(grid)]
     if config.method is not SampleMethod.Exact:
         # the exact grid is its own baseline; other methods get one exact cell per n
-        baseline_config = dataclasses.replace(config, method=SampleMethod.Exact)
-        jobs += [
-            (baseline_config, n, None, idx, _BASELINE_TAG)
-            for idx, n in enumerate(config.n_list)
+        plans += [
+            (_plan_cell(config, SampleMethod.Exact, n, None), (_BASELINE_TAG, i))
+            for i, n in enumerate(config.n_list)
         ]
-    cells = [_plan_cell(job_config, n, raw) for job_config, n, raw, _, _ in jobs]
 
     repeats = config.repeats
     size = math.ceil(repeats / (4 * max(1, threads)))
-    owners, tasks = [], []
-    for pos, ((job_config, n, _, idx, tag), cell) in enumerate(zip(jobs, cells)):
-        if cell.failed:
-            continue
-        for start in range(0, repeats, size):
-            owners.append(pos)
-            tasks.append((job_config, n, cell.ran, idx, tag, start, min(start + size, repeats)))
-    outcomes = _run_tasks(tasks, min(threads, len(tasks)))
+    tasks = [
+        (config, cell, seed_path, start, min(start + size, repeats))
+        for cell, seed_path in plans
+        if not cell.failed
+        for start in range(0, repeats, size)
+    ]
+    chunks: dict[tuple[int, int], list] = {seed_path: [] for _, seed_path in plans}
+    for task, outcome in zip(tasks, _run_tasks(tasks, min(threads, len(tasks)))):
+        chunks[task[2]].append((task, outcome))
 
-    rejections = [0] * len(cells)
-    seconds = [dict.fromkeys(_STAGES, 0.0) for _ in cells]
-    failures: list[list[tuple[int, str]]] = [[] for _ in cells]
-    for pos, task, outcome in zip(owners, tasks, outcomes):
-        if outcome is None:  # its worker died
-            start, stop = task[-2:]
-            outcome = (0, {}, (start, f"a worker process died running repeats {start}-{stop - 1}"))
-        count, spent, failure = outcome
-        rejections[pos] += count
-        for stage, s in spent.items():
-            seconds[pos][stage] += s
-        if failure is not None:
-            failures[pos].append(failure)
-    for pos, cell in enumerate(cells):
-        if failures[pos]:
+    cells, timing = [], []
+    for cell, seed_path in plans:
+        rejections, seconds, failures = 0, dict.fromkeys(_STAGES, 0.0), []
+        for (*_, start, stop), outcome in chunks[seed_path]:
+            died = (start, f"a worker process died running repeats {start}-{stop - 1}")
+            count, spent, failure = outcome or (0, {}, died)  # None: its worker died
+            rejections += count
+            for stage, s in spent.items():
+                seconds[stage] += s
+            if failure is not None:
+                failures.append(failure)
+        if failures:
             # the lowest failing repeat's message, the one a serial loop meets
-            cells[pos] = dataclasses.replace(cell, failed=True, message=min(failures[pos])[1])
+            cell = dataclasses.replace(cell, failed=True, message=min(failures)[1])
         elif not cell.failed:
-            rate = rejections[pos] / repeats
+            rate = rejections / repeats
             ci_low, ci_high = binomial_ci(rate, repeats)
-            cells[pos] = dataclasses.replace(cell, rate=rate, ci_low=ci_low, ci_high=ci_high)
+            cell = dataclasses.replace(cell, rate=rate, ci_low=ci_low, ci_high=ci_high)
+        cells.append(cell)
+        timing.append({"baseline" if seed_path[0] else "cell": seed_path[1], "seconds": seconds})
 
-    grid = len(cells_in_grid)
-    timing = tuple(
-        {"cell": pos, "seconds": spent} if pos < grid else {"baseline": pos - grid, "seconds": spent}
-        for pos, spent in enumerate(seconds)
-    )
     return ExperimentReport(
         config=config,
-        cells=tuple(cells[:grid]),
-        baseline=tuple(cells[grid:]) or tuple(cells),
-        timing=timing,
+        cells=tuple(cells[: len(grid)]),
+        baseline=tuple(cells[len(grid) :]) or tuple(cells),
+        timing=tuple(timing),
     )
 
 

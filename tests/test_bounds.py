@@ -1,6 +1,7 @@
 """Closed-form parameter calculators and divergence inequalities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,11 +35,6 @@ class TestFidelitySpec:
     def test_exact_carries_no_parameters(self):
         spec = FidelitySpec()
         assert spec.epsilon is None and spec.D is None and spec.Q is None
-
-    def test_rff_fills_feature_count(self):
-        spec = FidelitySpec.for_rff(100, KernelParams(1.0, 1.0, 1.0, 2), 0.1, 0.01)
-        assert spec.D == rff_min_features(100, 0.1, 0.01, 1.0)
-        assert spec.D % 2 == 0
 
     def test_ciq_fills_quadrature_and_iterations(self):
         spec = FidelitySpec.for_ciq(256, PARAMS, epsilon=0.1)
@@ -100,6 +96,19 @@ class TestRffMinFeatures:
         d1 = rff_min_features(1000, 0.1, 0.01, 1.0)
         assert abs(rff_min_features(1000, 0.1, 0.01, 2.0) - d1 / 4) <= 2
         assert abs(rff_min_features(1000, 0.1, 0.01, 4.0) - d1 / 16) <= 2
+
+    @pytest.mark.parametrize(
+        "n, epsilon, sigma_xi2", [(8, 0.1, 1e200), (100, 1e-160, 1e155), (100, 1e-200, 1e155)]
+    )
+    def test_noise_variance_whose_square_overflows(self, n, epsilon, sigma_xi2):
+        """sigma_xi2**2 raises OverflowError above about 1.3e154; the count
+        then matches the formula in exact arithmetic, 2 where the noise
+        swamps everything and a large count where epsilon is tiny."""
+        log_term = Fraction(math.log(n / math.sqrt(0.01)))
+        exact = log_term * n**2 / (Fraction(epsilon) ** 2 * Fraction(sigma_xi2) ** 2)
+        expected = max(2, math.ceil(exact))
+        expected += expected % 2
+        assert rff_min_features(n, epsilon, 0.01, sigma_xi2) == pytest.approx(expected, rel=1e-12)
 
     def test_even_and_floor(self):
         d = rff_min_features(2, 1.0, 0.5, 10.0)

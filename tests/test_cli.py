@@ -171,13 +171,14 @@ def test_sample_invalid_fidelity_exits_two(tmp_path, capsys, flags):
         ["--method", "ciq", "--n", "16", "--eps", "0.1", "--eta", "1.5"],
         ["--method", "rff", "--n", "16", "--eps", "2"],
         ["--method", "rff", "--n", "8", "--eps", "0.1", "--noise-variance", "1e-200"],
+        ["--method", "rff", "--n", "8", "--eps", "1e-200"],
         ["--method", "ciq", "--n", "8", "--eps", "0.1", "--noise-variance", "1e-320"],
         ["--method", "pciq", "--n", "8", "--eps", "0.1", "--noise-variance", "1e-320"],
         ["--method", "exact", "--n", "8", "--eps", "0.1", "--noise-variance", "1e-320"],
         ["--method", "exact", "--n", "8", "--eps", "0.1", "--noise-variance", "5e-324"],
     ],
-    ids=["delta", "n", "eta", "eps", "D-not-finite", "Q-not-finite", "pciq-Q-not-finite",
-         "kappa-not-finite", "kappa-divisor-underflows"],
+    ids=["delta", "n", "eta", "eps", "D-not-finite", "D-eps-underflows", "Q-not-finite",
+         "pciq-Q-not-finite", "kappa-not-finite", "kappa-divisor-underflows"],
 )
 def test_bounds_invalid_flag_exits_two(capsys, flags):
     """An invalid budget or size is a usage error and prints no number.
@@ -188,6 +189,17 @@ def test_bounds_invalid_flag_exits_two(capsys, flags):
     rc, out, err = run(capsys, "bounds", *flags)
     assert rc == 2 and out == ""
     assert_one_error_line(err)
+
+
+def test_bounds_rff_huge_noise_variance_needs_two_features(capsys):
+    """sigma_xi2**2 overflows above about 1.3e154; the sufficient D is then
+    the floor of 2, not an error."""
+    rc, out, _ = run(
+        capsys, "bounds", "--method", "rff", "--n", "8", "--eps", "0.1",
+        "--noise-variance", "1e200", "--json",
+    )
+    assert rc == 0
+    assert json.loads(out)["D"] == 2
 
 
 TABLE_DAMAGE = ["no comma", "non-numeric", "ragged", "header only", "nan", "missing"]

@@ -1,12 +1,14 @@
 """Statistical verification layer: the normality test, binomial
 intervals and the rejection-rate experiment harness."""
 
+import ctypes
 import dataclasses
 import json
 import math
 import multiprocessing
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +426,24 @@ class TestExperimentConfigFromDict:
         assert ExperimentConfig.from_dict(echo) == dataclasses.replace(config, output=None)
 
 
+def openblas_thread_counts():
+    """The thread count of each OpenBLAS this process has loaded, in path
+    order; its getter may carry a scipy_ prefix and a 64_ suffix."""
+    maps = Path("/proc/self/maps").read_text()
+    paths = {line.split(maxsplit=5)[-1] for line in maps.splitlines()}
+    counts = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get_threads = getattr(lib, name)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                counts.append(get_threads())
+                break
+    return counts
+
+
 class TestRejectionRateExperiment:
     def test_exact_sampler_rejected_at_nominal_rate(self):
         """A faithful sampler is rejected at roughly the test level;
@@ -553,6 +573,29 @@ class TestRejectionRateExperiment:
             assert (cell.failed and cell.message) or 0.0 <= cell.rate <= 1.0
         assert len(report_csv_lines(report)) == 3
         assert len(json.loads(report_to_json(report))["timing"]) == 3
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="workers are forked"
+    )
+    def test_workers_run_one_blas_thread_and_the_caller_keeps_its_count(self, monkeypatch):
+        """Each worker pins every OpenBLAS it has to one thread; the calling
+        process, which has just run a multi-threaded matmul, keeps its counts."""
+        a = np.random.default_rng(0).standard_normal((512, 512))
+        a @ a
+        before = openblas_thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS is loaded")
+
+        def reporting_draw(self, method, fidelity, seed):
+            raise ValueError(f"OpenBLAS threads {openblas_thread_counts()}")
+
+        monkeypatch.setattr(stats_module._Problem, "draw", reporting_draw)
+        cfg = ExperimentConfig(
+            method=SampleMethod.Exact, n_list=(8,), params=PARAMS, repeats=4, base_seed=2
+        )
+        report = rejection_rate_experiment(cfg, threads=2)
+        assert report.cells[0].message == f"OpenBLAS threads {[1] * len(before)}"
+        assert openblas_thread_counts() == before
 
     def test_broken_cell_is_isolated(self):
         """A fidelity value the sampler cannot digest marks its own
