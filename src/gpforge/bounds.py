@@ -10,16 +10,21 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from .kernel import GramMatrix, KernelParams
+from .precond import default_rank
 
 # the ciq noise split, and the total-variation budget of a default Q and J
 DEFAULT_ETA = 0.5
 DEFAULT_EPSILON = 0.1
+# the decay-model constants and the slack of a default pciq J
+DEFAULT_C1 = 1.0
+DEFAULT_C2 = 1.0
+DEFAULT_C_TILDE = 0.0
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,24 @@ class FidelitySpec:
         Q = ciq_min_quadrature(n, eta, params.noise_variance, delta_Q)
         J = ciq_min_iterations(n, eta, params.noise_variance, epsilon, delta_Q, Q)
         return cls(epsilon=epsilon, delta_Q=delta_Q, eta=eta, Q=Q, J=J)
+
+    @classmethod
+    def for_pciq(
+        cls, n: int, params: KernelParams, epsilon: float, eta: float = DEFAULT_ETA,
+        delta_Q: float | None = None, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2,
+        c_tilde: float = DEFAULT_C_TILDE,
+    ) -> "FidelitySpec":
+        """for_ciq, but J from the preconditioned iteration bound at rank
+        default_rank(n), with lambda_(rank+1) from the decay model of
+        constants c1, c2 and sigma_f = sqrt(variance). Raises where for_ciq does."""
+        spec = cls.for_ciq(n, params, epsilon, eta, delta_Q)
+        rank = default_rank(n)
+        model = DecayModel(c1=c1, c2=c2, sigma_f=math.sqrt(params.variance), dim=params.dim)
+        J = precond_min_iterations(
+            belkin_lambda_bound(rank + 1, n, model),
+            n, eta, params.noise_variance, epsilon, spec.delta_Q, c_tilde,
+        )
+        return replace(spec, J=J, rank=rank)
 
 
 @dataclass(frozen=True)
@@ -230,7 +253,7 @@ def precond_min_iterations(
     sigma_xi2: float,
     epsilon: float,
     delta_Q: float,
-    C_tilde: float = 0.0,
+    C_tilde: float = DEFAULT_C_TILDE,
 ) -> int:
     """Sufficient iteration count under a rank-floor(sqrt(n)) preconditioner."""
     if lambda_kp1 < 0:

@@ -27,19 +27,6 @@ _BREAKDOWN_REL = 1e-14
 
 
 @dataclass(frozen=True)
-class QuadratureScheme:
-    """Shifted-system decomposition of the square root on a spectral interval.
-
-    Applying sum_q weights[q] * K (shifts[q] I + K)^(-1) u approximates
-    K^(1/2) u for any symmetric K whose spectrum lies within the interval
-    the scheme was built for.
-    """
-
-    shifts: np.ndarray
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Outcome of a shifted-system solve."""
 
@@ -49,8 +36,10 @@ class SolveReport:
     breakdown: bool = False
 
 
-def build_quadrature(lambda_min: float, lambda_max: float, Q: int) -> QuadratureScheme:
-    """Place Q shifted-system nodes for the interval [lambda_min, lambda_max].
+def build_quadrature(lambda_min: float, lambda_max: float, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shifts and weights of Q shifted-system nodes for the interval
+    [lambda_min, lambda_max]: sum_q weights[q] * K (shifts[q] I + K)^(-1) u
+    approximates K^(1/2) u for any symmetric K with its spectrum inside it.
 
     Nodes sit at midpoints (q - 1/2) K'/Q of the complementary elliptic
     quarter period, mapped onto shifts lambda_min * (sn/cn)^2 with
@@ -67,10 +56,9 @@ def build_quadrature(lambda_min: float, lambda_max: float, Q: int) -> Quadrature
     Kp = float(scipy.special.ellipkm1(ratio))
     t = (np.arange(Q) + 0.5) * Kp / Q
     sn, cn, dn, _ = scipy.special.ellipj(t, 1.0 - ratio)
-    return QuadratureScheme(
-        shifts=lambda_min * (sn / cn) ** 2,
-        weights=(2.0 * Kp * math.sqrt(lambda_min) / (math.pi * Q)) * dn / cn**2,
-    )
+    shifts = lambda_min * (sn / cn) ** 2
+    weights = (2.0 * Kp * math.sqrt(lambda_min) / (math.pi * Q)) * dn / cn**2
+    return shifts, weights
 
 
 def _msminres(
@@ -216,20 +204,13 @@ def shifted_solve(
         raise ValueError("shifts must be a nonempty 1-d sequence")
     if precond is None:
         return _msminres(K.entries, shift_arr, u, J, tol)
-    X = np.zeros((shift_arr.shape[0], u.shape[0]))
-    residuals = np.zeros(shift_arr.shape[0])
-    iteration_counts = np.zeros(shift_arr.shape[0], dtype=int)
-    any_breakdown = False
-    for q, s in enumerate(shift_arr):
-        X[q], residuals[q], iteration_counts[q], broke = _pcg_single(
-            K.entries, float(s), u, precond, J, tol
-        )
-        any_breakdown = any_breakdown or broke
+    runs = [_pcg_single(K.entries, float(s), u, precond, J, tol) for s in shift_arr]
+    X, residuals, iterations, breakdowns = (np.array(column) for column in zip(*runs))
     return X, SolveReport(
-        iterations_run=int(iteration_counts.max()),
+        iterations_run=int(iterations.max()),
         residual_norms=residuals,
         converged=residuals <= tol,
-        breakdown=any_breakdown,
+        breakdown=bool(breakdowns.any()),
     )
 
 
@@ -255,10 +236,9 @@ def ciq_sqrt_mv(
 ) -> tuple[np.ndarray, SolveReport]:
     """Approximate K^(1/2) u through Q shifted solves capped at J iterations."""
     lam_min, lam_max = spectral_envelope(K)
-    scheme = build_quadrature(lam_min, lam_max, Q)
-    solutions, report = shifted_solve(K, scheme.shifts, u, J, precond=precond)
-    combined = scheme.weights @ solutions
-    return K.entries @ combined, report
+    shifts, weights = build_quadrature(lam_min, lam_max, Q)
+    solutions, report = shifted_solve(K, shifts, u, J, precond=precond)
+    return K.entries @ (weights @ solutions), report
 
 
 def ciq_sample(
@@ -317,7 +297,9 @@ def _ciq_draw(
         f=f_hat,
         method=SampleMethod.Ciq if precond is None else SampleMethod.CiqPreconditioned,
         params=params,
-        fidelity=FidelitySpec(eta=eta, Q=Q, J=J, rank=None if precond is None else precond.rank),
+        fidelity=FidelitySpec(
+            eta=eta, Q=Q, J=J, rank=None if precond is None else precond.factor.shape[1]
+        ),
         seed=seed,
         solver=report,
     )

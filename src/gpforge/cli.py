@@ -127,15 +127,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         payload["regime"] = bounds_mod.decay_regime(args.n, model)[1]
         if method is SampleMethod.Rff:
             payload["D"] = bounds_mod.rff_min_features(args.n, args.eps, args.delta, sigma_xi2)
-        elif method in (SampleMethod.Ciq, SampleMethod.CiqPreconditioned):
-            spec = FidelitySpec.for_ciq(args.n, params, args.eps, args.eta, args.delta_q)
+        elif method is not SampleMethod.Exact:
+            budget = (args.n, params, args.eps, args.eta, args.delta_q)
+            if method is SampleMethod.Ciq:
+                spec = FidelitySpec.for_ciq(*budget)
+            else:
+                spec = FidelitySpec.for_pciq(*budget, args.c1, args.c2, args.c_tilde)
             payload.update(delta_Q=spec.delta_Q, Q=spec.Q, J=spec.J)
-            if method is SampleMethod.CiqPreconditioned:
-                k = precond_mod.default_rank(args.n)
-                lam_kp1 = bounds_mod.belkin_lambda_bound(k + 1, args.n, model)
-                payload["J"] = bounds_mod.precond_min_iterations(
-                    lam_kp1, args.n, args.eta, sigma_xi2, args.eps, spec.delta_Q, args.c_tilde
-                )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(json.dumps(payload, indent=None if args.json else 2))
@@ -373,10 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta-q", type=float, default=None, dest="delta_q",
         help="quadrature budget (default: half its cap)",
     )
-    p_bounds.add_argument("--c1", type=float, default=1.0, help="decay-model rate constant")
-    p_bounds.add_argument("--c2", type=float, default=1.0, help="decay-model scale constant")
     p_bounds.add_argument(
-        "--c-tilde", type=float, default=0.0, dest="c_tilde",
+        "--c1", type=float, default=bounds_mod.DEFAULT_C1, help="decay-model rate constant"
+    )
+    p_bounds.add_argument(
+        "--c2", type=float, default=bounds_mod.DEFAULT_C2, help="decay-model scale constant"
+    )
+    p_bounds.add_argument(
+        "--c-tilde", type=float, default=bounds_mod.DEFAULT_C_TILDE, dest="c_tilde",
         help="slack constant of the preconditioned iteration bound",
     )
     p_bounds.add_argument("--json", action="store_true", help="single-line JSON output")

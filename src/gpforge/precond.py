@@ -16,6 +16,9 @@ import scipy.linalg
 from . import _streams
 from .kernel import GramMatrix, KernelParams, gram, sample_inputs
 
+# power-iteration steps behind each effectiveness_sweep metric
+_POWER_ITERATIONS = 40
+
 
 @dataclass(frozen=True)
 class NystromPreconditioner:
@@ -26,8 +29,6 @@ class NystromPreconditioner:
     matrix.
     """
 
-    rank: int
-    pivots: tuple[int, ...]
     factor: np.ndarray
     noise: float
 
@@ -42,10 +43,6 @@ class NystromPreconditioner:
         object.__setattr__(self, "factor", F)
         # k x k inner product cached once; every Woodbury application needs it
         object.__setattr__(self, "_gram_core", F.T @ F)
-
-    @property
-    def n(self) -> int:
-        return self.factor.shape[0]
 
 
 def default_rank(n: int) -> int:
@@ -67,23 +64,19 @@ def nystrom_factor(K: GramMatrix, k: int) -> NystromPreconditioner:
     A = K.entries
     d = np.diag(A) - K.jitter
     F = np.zeros((n, k))
-    pivots: list[int] = []
     exhausted_at = max(float(d.max()), 0.0) * 1e-14
     for m in range(k):
         i = int(np.argmax(d))
         if d[i] <= exhausted_at:
             F = F[:, :m]
             break
-        pivots.append(i)
         col = A[:, i].copy()
         col[i] -= K.jitter
         if m > 0:
             col -= F[:, :m] @ F[i, :m]
         F[:, m] = col / np.sqrt(d[i])
         d -= F[:, m] ** 2
-    return NystromPreconditioner(
-        rank=F.shape[1], pivots=tuple(pivots), factor=F, noise=K.jitter
-    )
+    return NystromPreconditioner(factor=F, noise=K.jitter)
 
 
 def apply_shifted_inverse(
@@ -119,16 +112,14 @@ def preconditioned_condition_bound(
     return 1.0 + 2.0 * lambda_kp1 * np.sqrt(4.0 * k * (n - k) + 1.0) / (eta * sigma_xi2)
 
 
-def _power_iteration_deviation(
-    K: np.ndarray, P: NystromPreconditioner, iterations: int, seed: int
-) -> float:
-    """Operator norm of I - P_inv K, estimated by power iteration on its
-    normal matrix."""
+def _power_iteration_deviation(K: np.ndarray, P: NystromPreconditioner, seed: int) -> float:
+    """Operator norm of I - P_inv K, estimated by _POWER_ITERATIONS steps of
+    power iteration on its normal matrix."""
     n = K.shape[0]
     v = _streams.stream(seed, _streams.LATENT).standard_normal(n)
     v /= np.linalg.norm(v)
     nr = 0.0
-    for _ in range(iterations):
+    for _ in range(_POWER_ITERATIONS):
         Mv = v - apply_shifted_inverse(P, K @ v)
         MtMv = Mv - K @ apply_shifted_inverse(P, Mv)
         nr = float(np.linalg.norm(MtMv))
@@ -139,11 +130,7 @@ def _power_iteration_deviation(
 
 
 def effectiveness_sweep(
-    n_list: list[int],
-    lengthscale_grid: list[float],
-    params_base: KernelParams,
-    seed: int,
-    power_iterations: int = 40,
+    n_list: list[int], lengthscale_grid: list[float], params_base: KernelParams, seed: int
 ) -> list[tuple[int, float, float]]:
     """Preconditioner quality over a (size, lengthscale) grid.
 
@@ -157,11 +144,7 @@ def effectiveness_sweep(
         for ls in lengthscale_grid:
             params = replace(params_base, lengthscale=ls)
             cell_seed = _streams.derive_seed(seed, n, int(1e9 * ls) & ((1 << 60) - 1))
-            X = sample_inputs(n, params, cell_seed)
-            K = gram(X, params, jitter=params.noise_variance)
+            K = gram(sample_inputs(n, params, cell_seed), params, jitter=params.noise_variance)
             P = nystrom_factor(K, default_rank(n))
-            metric = _power_iteration_deviation(
-                K.entries, P, power_iterations, cell_seed
-            )
-            rows.append((n, ls, metric))
+            rows.append((n, ls, _power_iteration_deviation(K.entries, P, cell_seed)))
     return rows

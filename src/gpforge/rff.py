@@ -10,7 +10,6 @@ and the streaming variant emits values bitwise equal to the batch one.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,41 +33,16 @@ class PartialOutputError(RuntimeError):
         super().__init__(f"sink failed after {emitted} emitted elements: {cause}")
 
 
-@dataclass(frozen=True)
-class FrequencyMatrix:
-    """Spectral frequencies for paired sine/cosine features.
-
-    omegas has one row per feature pair, so D features correspond to a
-    (D/2) x d matrix.
-    """
-
-    omegas: np.ndarray
-
-    def __post_init__(self) -> None:
-        om = np.asarray(self.omegas, dtype=np.float64)
-        if om.ndim != 2 or om.shape[0] < 1:
-            raise ValueError(f"omegas must be a nonempty 2-d array, got shape {om.shape}")
-        object.__setattr__(self, "omegas", om)
-
-    @property
-    def D(self) -> int:
-        return 2 * self.omegas.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.omegas.shape[1]
-
-
 def _draw_frequencies(g: np.random.Generator, rows: int, params: KernelParams) -> np.ndarray:
     """The next `rows` rows of a frequency stream, each from Normal(0, I_d / l^2)."""
     return g.standard_normal((rows, params.dim)) / params.lengthscale
 
 
-def sample_frequencies(D: int, params: KernelParams, seed: int) -> FrequencyMatrix:
-    """Draw D/2 frequency rows from the spectral density Normal(0, I_d / l^2)."""
+def sample_frequencies(D: int, params: KernelParams, seed: int) -> np.ndarray:
+    """The (D/2) x d frequency rows, one per sine/cosine feature pair, from
+    the spectral density Normal(0, I_d / l^2)."""
     FidelitySpec(D=D)  # rejects an odd or too small D
-    g = _streams.stream(seed, _streams.FREQUENCIES)
-    return FrequencyMatrix(omegas=_draw_frequencies(g, D // 2, params))
+    return _draw_frequencies(_streams.stream(seed, _streams.FREQUENCIES), D // 2, params)
 
 
 def _feature_rows(X: np.ndarray, omegas: np.ndarray, D: int) -> np.ndarray:
@@ -81,14 +55,18 @@ def _feature_rows(X: np.ndarray, omegas: np.ndarray, D: int) -> np.ndarray:
     return out
 
 
-def feature_map(x: np.ndarray, freqs: FrequencyMatrix) -> np.ndarray:
-    """Evaluate the D-dimensional random feature vector at a single point."""
+def feature_map(x: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """The D-dimensional random feature vector at a single point, for the
+    (D/2) x d frequency rows `omegas`."""
+    omegas = np.asarray(omegas, dtype=np.float64)
+    if omegas.ndim != 2 or omegas.shape[0] < 1:
+        raise ValueError(f"omegas must be a nonempty 2-d array, got shape {omegas.shape}")
     x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != freqs.dim:
+    if x.shape[0] != omegas.shape[1]:
         raise ValueError(
-            f"dimension mismatch: x has length {x.shape[0]}, frequencies have d={freqs.dim}"
+            f"dimension mismatch: x has length {x.shape[0]}, frequencies have d={omegas.shape[1]}"
         )
-    return _feature_rows(x[None, :], freqs.omegas, freqs.D)[0]
+    return _feature_rows(x[None, :], omegas, 2 * omegas.shape[0])[0]
 
 
 def _reduce_blocks(

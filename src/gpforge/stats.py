@@ -221,10 +221,12 @@ def resolve_fidelity(
     """Check every fidelity value of `method` at size n and fill the defaults.
 
     rff needs D. ciq and pciq take a missing eta as DEFAULT_ETA, a
-    missing epsilon as DEFAULT_EPSILON, a missing Q or J from
-    FidelitySpec.for_ciq at budget epsilon, and pciq a missing rank from
-    default_rank(n). Values a method does not use are ignored. Raises
-    ValueError on any invalid value, before any sampling work.
+    missing epsilon as DEFAULT_EPSILON, and a missing Q or J from
+    FidelitySpec.for_ciq (ciq) or FidelitySpec.for_pciq (pciq) at budget
+    epsilon; pciq takes a missing rank from default_rank(n), and its J
+    does not depend on the rank asked for. Values a method does not use
+    are ignored. Raises ValueError on any invalid value, before any
+    sampling work.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -237,7 +239,8 @@ def resolve_fidelity(
     eta = DEFAULT_ETA if eta is None else eta
     epsilon = DEFAULT_EPSILON if epsilon is None else epsilon
     if Q is None or J is None:
-        spec = FidelitySpec.for_ciq(n, params, epsilon, eta)
+        pciq = method is SampleMethod.CiqPreconditioned
+        spec = (FidelitySpec.for_pciq if pciq else FidelitySpec.for_ciq)(n, params, epsilon, eta)
         Q = spec.Q if Q is None else Q
         J = spec.J if J is None else J
     if method is not SampleMethod.CiqPreconditioned:

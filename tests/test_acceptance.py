@@ -219,11 +219,11 @@ def test_criterion_4_preconditioning_benefit():
         seed = derive_seed(404, r)
         X = sample_inputs(n, p, seed=seed)
         K = gram(X, p, jitter=0.5 * 0.25)
-        scheme = build_quadrature(*spectral_envelope(K), Q)
+        shifts, _ = build_quadrature(*spectral_envelope(K), Q)
         u = stream(seed, LATENT).standard_normal(n)
-        _, rep_u = shifted_solve(K, scheme.shifts, u, J=3000, tol=1e-8)
+        _, rep_u = shifted_solve(K, shifts, u, J=3000, tol=1e-8)
         P = nystrom_factor(K, int(math.isqrt(n)))
-        _, rep_p = shifted_solve(K, scheme.shifts, u, J=3000, tol=1e-8, precond=P)
+        _, rep_p = shifted_solve(K, shifts, u, J=3000, tol=1e-8, precond=P)
         unprecond.append(rep_u.iterations_run)
         precond.append(rep_p.iterations_run)
     med_u = float(np.median(unprecond))

@@ -44,6 +44,18 @@ class TestFidelitySpec:
         assert spec.Q == ciq_min_quadrature(256, 0.5, 0.25, spec.delta_Q)
         assert spec.J == ciq_min_iterations(256, 0.5, 0.25, 0.1, spec.delta_Q, spec.Q)
 
+    def test_pciq_takes_iterations_from_the_preconditioned_bound(self):
+        """for_pciq keeps for_ciq's budget split and Q and takes J from the
+        preconditioned bound at rank floor(sqrt(n)) = 16, with the decay
+        model's unit constants: 507 at n=256, against ciq's 357."""
+        ciq = FidelitySpec.for_ciq(256, PARAMS, epsilon=0.1)
+        spec = FidelitySpec.for_pciq(256, PARAMS, epsilon=0.1)
+        model = DecayModel(c1=1.0, c2=1.0, sigma_f=1.0, dim=2)
+        lam_17 = belkin_lambda_bound(17, 256, model)
+        assert (spec.delta_Q, spec.eta, spec.Q, spec.rank) == (ciq.delta_Q, 0.5, ciq.Q, 16)
+        assert spec.J == precond_min_iterations(lam_17, 256, 0.5, 0.25, 0.1, ciq.delta_Q) == 507
+        assert ciq.J == 357
+
     def test_quadrature_budget_cap_enforced(self):
         cap = 0.1 * 0.5 * math.sqrt(0.5)
         with pytest.raises(ValueError):

@@ -132,6 +132,27 @@ def test_sample_ciq_default_fidelity_golden(tmp_path, capsys):
     assert sidecar["n"] == 16
 
 
+@pytest.mark.parametrize("n", [16, 256])
+def test_sample_pciq_default_fidelity_is_the_pciq_calculators(tmp_path, capsys, n):
+    """Omitting --quadrature and --iterations for pciq records the Q and J
+    that `bounds --method pciq` prints at the sample's default budget; J
+    comes from the preconditioned bound, not ciq's. The solves converge
+    well within either cap, so the CSV is the one ciq's J gives."""
+    rc, out, _ = run(capsys, "bounds", "--method", "pciq", "--n", str(n), "--eps", "0.1")
+    assert rc == 0
+    certified = json.loads(out)
+    rc, out, _ = run(capsys, "bounds", "--method", "ciq", "--n", str(n), "--eps", "0.1")
+    ciq_J = json.loads(out)["J"]
+    assert certified["J"] != ciq_J
+    base = ["sample", "--method", "pciq", "--n", str(n), "--seed", "5"]
+    assert run(capsys, *base, "--output", str(tmp_path / "p.csv"))[0] == 0
+    fidelity = json.loads((tmp_path / "p.csv.json").read_text())["fidelity"]
+    assert (fidelity["Q"], fidelity["J"]) == (certified["Q"], certified["J"])
+    rc, _, _ = run(capsys, *base, "--iterations", str(ciq_J), "--output", str(tmp_path / "c.csv"))
+    assert rc == 0
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+
 def assert_one_error_line(err):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 

@@ -1,6 +1,8 @@
 """The package namespace: what `gpforge` exports."""
 
 import ast
+import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -42,3 +44,21 @@ def test_every_export_is_read_outside_its_own_definition():
         )
     ]
     assert unread == []
+
+
+def test_every_benchmark_trace_target_exists():
+    """bench/tracing.py wraps each (module, function) of its TARGETS by
+    name, and `bench/run.py --trace 1` fails on one that is gone; these
+    tests do not otherwise run the benchmark, so renaming or deleting a
+    traced function must fail here."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("gpforge_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"gpforge.{module}.{function}"
+        for module, function, *_ in tracing.TARGETS
+        if not hasattr(importlib.import_module(f"gpforge.{module}"), function)
+    ]
+    assert tracing.TARGETS
+    assert missing == []

@@ -21,7 +21,7 @@ from gpforge import (
     sample_frequencies,
     sample_inputs,
 )
-from gpforge._streams import WEIGHTS, stream
+from gpforge._streams import FREQUENCIES, WEIGHTS, stream
 from gpforge.rff import _BLOCK_POINTS, _CHUNK_ROWS
 
 PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
@@ -31,12 +31,21 @@ class TestSampleFrequencies:
     def test_deterministic_per_seed(self):
         a = sample_frequencies(64, PARAMS, seed=5)
         b = sample_frequencies(64, PARAMS, seed=5)
-        np.testing.assert_array_equal(a.omegas, b.omegas)
+        np.testing.assert_array_equal(a, b)
+
+    def test_rows_are_the_frequency_stream(self):
+        """The D/2 rows are the first D/2 rows of the seed's frequency
+        stream divided by the lengthscale, bitwise, as float64."""
+        p = KernelParams(variance=1.0, lengthscale=0.7, noise_variance=0.25, dim=3)
+        got = sample_frequencies(600, p, seed=11)
+        expect = stream(11, FREQUENCIES).standard_normal((300, 3)) / 0.7
+        assert got.dtype == np.float64
+        assert got.tobytes() == expect.tobytes()
 
     def test_minimal_even_count_shape(self):
         fm = sample_frequencies(2, PARAMS, seed=0)
-        assert fm.omegas.shape == (1, 2)
-        assert fm.D == 2
+        assert fm.shape == (1, 2)
+        assert feature_map(np.zeros(2), fm).shape == (2,)
 
     def test_odd_count_rejected(self):
         with pytest.raises(ValueError):
@@ -48,7 +57,7 @@ class TestSampleFrequencies:
         errors of 0.25."""
         p = KernelParams(variance=1.0, lengthscale=2.0, noise_variance=0.25, dim=1)
         fm = sample_frequencies(20000, p, seed=17)
-        entries = fm.omegas.ravel()
+        entries = fm.ravel()
         assert entries.size == 10000
         se = 0.25 * math.sqrt(2.0 / (entries.size - 1))
         assert abs(float(np.var(entries, ddof=1)) - 0.25) < 3 * se
@@ -102,6 +111,13 @@ class TestFeatureMap:
         fm = sample_frequencies(8, PARAMS, seed=0)
         with pytest.raises(ValueError):
             feature_map(np.zeros(3), fm)
+
+    @pytest.mark.parametrize(
+        "omegas", [np.ones(2), np.zeros((0, 2)), np.ones((1, 1, 2))], ids=["1-d", "empty", "3-d"]
+    )
+    def test_frequencies_not_a_nonempty_matrix_rejected(self, omegas):
+        with pytest.raises(ValueError, match="nonempty 2-d"):
+            feature_map(np.zeros(2), omegas)
 
 
 class TestRffSample:

@@ -144,6 +144,7 @@ class TestFidelityRescaler:
 class TestResolveFidelity:
     def test_fills_defaults(self):
         ciq = FidelitySpec.for_ciq(64, PARAMS, epsilon=0.2, eta=0.3)
+        pciq = FidelitySpec.for_pciq(64, PARAMS, epsilon=0.2, eta=0.3)
         assert resolve_fidelity(SampleMethod.Exact, 64, PARAMS) == FidelitySpec()
         assert resolve_fidelity(SampleMethod.Rff, 64, PARAMS, D=32) == FidelitySpec(D=32)
         assert resolve_fidelity(
@@ -151,7 +152,10 @@ class TestResolveFidelity:
         ) == FidelitySpec(eta=0.3, Q=ciq.Q, J=7)
         assert resolve_fidelity(
             SampleMethod.CiqPreconditioned, 64, PARAMS, Q=5, eta=0.3, epsilon=0.2
-        ) == FidelitySpec(eta=0.3, Q=5, J=ciq.J, rank=8)
+        ) == FidelitySpec(eta=0.3, Q=5, J=pciq.J, rank=8)
+        assert resolve_fidelity(
+            SampleMethod.CiqPreconditioned, 64, PARAMS, rank=2, eta=0.3, epsilon=0.2
+        ) == FidelitySpec(eta=0.3, Q=ciq.Q, J=pciq.J, rank=2)
 
     @pytest.mark.parametrize(
         "method, kwargs",
