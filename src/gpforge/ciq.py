@@ -19,7 +19,7 @@ import scipy.special
 from . import _streams
 from .bounds import FidelitySpec
 from .exact import GpSample, SampleMethod
-from .kernel import GramMatrix, InputData, KernelParams, gram
+from .kernel import GramMatrix, KernelParams
 from .precond import NystromPreconditioner, apply_shifted_inverse, nystrom_factor
 
 # Krylov breakdown threshold, a few ulp above what float64 reaches
@@ -242,27 +242,6 @@ def ciq_sqrt_mv(
 
 
 def ciq_sample(
-    X: InputData,
-    params: KernelParams,
-    eta: float,
-    Q: int,
-    J: int,
-    seed: int,
-    rank: int | None = None,
-) -> GpSample:
-    """Draw a sample via the quadrature square root of the partially
-    noisy Gram matrix.
-
-    A fraction eta of the noise variance is folded into the kernel
-    diagonal before the square root; the remainder is added afterwards
-    as independent noise. With a rank, the draw is preconditioned by a
-    Nystrom factor of that rank; the sample's fidelity records the rank
-    the factor reached, and the shifted solve's report rides along.
-    """
-    return _ciq_draw(gram(X, params, jitter=params.noise_variance), params, eta, Q, J, seed, rank)
-
-
-def _ciq_draw(
     K_xi: GramMatrix,
     params: KernelParams,
     eta: float,
@@ -271,12 +250,20 @@ def _ciq_draw(
     seed: int,
     rank: int | None = None,
 ) -> GpSample:
-    """ciq_sample on the fully noisy K_xi = gram(X, params, jitter=noise_variance).
+    """Draw a sample via the quadrature square root of the partially
+    noisy Gram matrix, on the fully noisy K_xi = gram(X, params,
+    jitter=noise_variance).
 
-    gram pins the diagonal to variance + jitter, so the partially noisy
-    K_eta is K_xi with its diagonal lowered to variance + eta *
-    noise_variance: the draw runs on K_xi's own buffer, and the diagonal
-    is put back afterwards, also when the draw raises.
+    A fraction eta of the noise variance is folded into the kernel
+    diagonal before the square root; the remainder is added afterwards
+    as independent noise. gram pins the diagonal to variance + jitter,
+    so the partially noisy K_eta is K_xi with its diagonal lowered to
+    variance + eta * noise_variance: K_xi's diagonal is written during
+    the call and put back afterwards, also when the draw raises, so
+    K_xi must not be shared with another thread meanwhile. With a rank,
+    the draw is preconditioned by a Nystrom factor of that rank; the
+    sample's fidelity records the rank the factor reached, and the
+    shifted solve's report rides along.
     """
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")

@@ -282,7 +282,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if config.output is None:
         raise UsageError("config needs an output path (flag --output or config file)")
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    report = rejection_rate_experiment(config, threads=max(1, threads))
+    if threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {threads}")
+    report = rejection_rate_experiment(config, threads=threads)
     out = Path(config.output)
     out.write_text("\n".join(report_csv_lines(report)) + "\n")
     Path(str(out) + ".json").write_text(report_to_json(report) + "\n")

@@ -11,7 +11,7 @@ import scipy.linalg
 
 from . import _streams
 from .bounds import FidelitySpec
-from .kernel import GramMatrix, InputData, KernelParams, gram
+from .kernel import GramMatrix, KernelParams
 
 if TYPE_CHECKING:
     from .ciq import SolveReport
@@ -86,14 +86,8 @@ def cholesky_factor(K: GramMatrix, overwrite: bool = False) -> np.ndarray:
     return U.T
 
 
-def exact_sample(X: InputData, params: KernelParams, seed: int) -> GpSample:
-    """Draw y = L u with L the Cholesky factor of the fully noisy Gram matrix."""
-    K = gram(X, params, jitter=params.noise_variance)
-    return _exact_draw(cholesky_factor(K, overwrite=True), params, seed)
-
-
-def _exact_draw(L: np.ndarray, params: KernelParams, seed: int) -> GpSample:
-    """y = L u for a Cholesky factor L of the fully noisy Gram matrix."""
+def exact_sample(L: np.ndarray, params: KernelParams, seed: int) -> GpSample:
+    """Draw y = L u for a Cholesky factor L of the fully noisy Gram matrix."""
     u = _streams.stream(seed, _streams.LATENT).standard_normal(L.shape[0])
     return GpSample(
         y=L @ u,
@@ -104,18 +98,13 @@ def _exact_draw(L: np.ndarray, params: KernelParams, seed: int) -> GpSample:
     )
 
 
-def whiten(y: np.ndarray, K_xi: GramMatrix) -> np.ndarray:
-    """Map y through the inverse Cholesky factor of K_xi.
+def whiten(y: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """L^-1 y for a lower-triangular Cholesky factor L of K_xi.
 
     If y is a zero-mean Gaussian with covariance K_xi, the result is a
     standard normal vector.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != K_xi.n:
-        raise ValueError(f"y has shape {y.shape}, expected ({K_xi.n},)")
-    return _whiten(y, cholesky_factor(K_xi))
-
-
-def _whiten(y: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """L^-1 y for a lower-triangular Cholesky factor L."""
+    if y.ndim != 1 or y.shape[0] != L.shape[0]:
+        raise ValueError(f"y has shape {y.shape}, expected ({L.shape[0]},)")
     return scipy.linalg.solve_triangular(L, y, lower=True)

@@ -28,8 +28,8 @@ import scipy.stats
 
 from . import _streams
 from .bounds import DEFAULT_EPSILON, DEFAULT_ETA, FidelitySpec
-from .ciq import _ciq_draw
-from .exact import GpSample, SampleMethod, _exact_draw, _whiten, cholesky_factor
+from .ciq import ciq_sample
+from .exact import GpSample, SampleMethod, cholesky_factor, exact_sample, whiten
 from .kernel import (
     GramMatrix, InputData, KernelParams, gram, json_object, json_value, sample_inputs
 )
@@ -268,7 +268,7 @@ class _Problem:
     """One repeat's problem: inputs and params, with the fully noisy Gram
     matrix K_xi and its Cholesky factor L in one n x n buffer. The exact
     draw is L u, a draw is whitened through L, and ciq and pciq draw on
-    K_xi through ciq._ciq_draw. L is factored at most once, in place of
+    K_xi through ciq.ciq_sample. L is factored at most once, in place of
     K_xi; a K_xi() call after factor() assembles the matrix again. Not
     safe to share between threads.
     """
@@ -291,15 +291,15 @@ class _Problem:
         return self._L
 
     def whiten(self, y: np.ndarray) -> np.ndarray:
-        return _whiten(y, self.factor())
+        return whiten(y, self.factor())
 
     def draw(self, method: SampleMethod, fidelity: FidelitySpec, seed: int) -> GpSample:
         p = self.params
         if method is SampleMethod.Exact:
-            return _exact_draw(self.factor(), p, seed)
+            return exact_sample(self.factor(), p, seed)
         if method is SampleMethod.Rff:
             return rff_sample(self.X, p, fidelity.D, seed)
-        return _ciq_draw(self.K_xi(), p, fidelity.eta, fidelity.Q, fidelity.J, seed, fidelity.rank)
+        return ciq_sample(self.K_xi(), p, fidelity.eta, fidelity.Q, fidelity.J, seed, fidelity.rank)
 
 
 def _plan_cell(

@@ -217,26 +217,30 @@ class TestCiqSqrtMv:
 class TestCiqSample:
     PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
 
+    def noisy_gram(self, n, seed):
+        X = sample_inputs(n, self.PARAMS, seed=seed)
+        return gram(X, self.PARAMS, jitter=self.PARAMS.noise_variance)
+
     def test_deterministic_per_seed(self):
-        X = sample_inputs(16, self.PARAMS, seed=2)
-        a = ciq_sample(X, self.PARAMS, eta=0.5, Q=4, J=8, seed=77)
-        b = ciq_sample(X, self.PARAMS, eta=0.5, Q=4, J=8, seed=77)
+        K_xi = self.noisy_gram(16, seed=2)
+        a = ciq_sample(K_xi, self.PARAMS, eta=0.5, Q=4, J=8, seed=77)
+        b = ciq_sample(K_xi, self.PARAMS, eta=0.5, Q=4, J=8, seed=77)
         np.testing.assert_array_equal(a.y, b.y)
         assert a.method is SampleMethod.Ciq
         assert a.fidelity.Q == 4 and a.fidelity.J == 8
 
     def test_eta_domain(self):
-        X = sample_inputs(4, self.PARAMS, seed=2)
+        K_xi = self.noisy_gram(4, seed=2)
         for eta in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
-                ciq_sample(X, self.PARAMS, eta=eta, Q=4, J=4, seed=0)
+                ciq_sample(K_xi, self.PARAMS, eta=eta, Q=4, J=4, seed=0)
 
     def test_scalar_case_closed_form(self):
         """At n=1 the latent square root is exact, so the draw is a
         deterministic function of the two underlying normals."""
-        X = sample_inputs(1, self.PARAMS, seed=8)
+        K_xi = self.noisy_gram(1, seed=8)
         eta = 0.5
-        s = ciq_sample(X, self.PARAMS, eta=eta, Q=8, J=4, seed=31)
+        s = ciq_sample(K_xi, self.PARAMS, eta=eta, Q=8, J=4, seed=31)
         u1 = stream(31, LATENT).standard_normal(1)[0]
         x1 = stream(31, NOISE).standard_normal(1)[0]
         expect = math.sqrt(1.0 + eta * 0.25) * u1 + math.sqrt((1 - eta) * 0.25) * x1
@@ -247,10 +251,9 @@ class TestCiqSample:
         Monte-Carlo noise floor; 20000 seeds must reproduce the fully
         noisy Gram matrix within 4 standard errors."""
         n, reps = 4, 20000
-        X = sample_inputs(n, self.PARAMS, seed=14)
-        K = gram(X, self.PARAMS, jitter=self.PARAMS.noise_variance)
+        K = self.noisy_gram(n, seed=14)
         draws = np.stack([
-            ciq_sample(X, self.PARAMS, eta=0.5, Q=16, J=32, seed=r).y for r in range(reps)
+            ciq_sample(K, self.PARAMS, eta=0.5, Q=16, J=32, seed=r).y for r in range(reps)
         ])
         emp = draws.T @ draws / reps
         for i in range(n):

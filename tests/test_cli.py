@@ -551,6 +551,21 @@ def test_experiment_minimal_completes_quickly(tmp_path, capsys):
     assert (tmp_path / "exp.csv.json").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_experiment_refuses_fewer_than_one_thread(tmp_path, capsys, threads):
+    """A worker count below 1 is a usage error, not a silent run in one
+    process: exit 2, one error line, and no report written."""
+    out = tmp_path / "t.csv"
+    rc, _, err = run(
+        capsys,
+        "experiment", "--method", "exact", "--n-list", "8", "--repeats", "2",
+        "--output", str(out), "--threads", threads,
+    )
+    assert rc == 2
+    assert err.startswith("error:") and "--threads" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_row_count_matches_grid(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     rc, _, _ = run(

@@ -112,9 +112,10 @@ class TestCholeskyFactor:
 
 class TestExactSample:
     def test_deterministic_per_seed(self):
-        X, K = noisy_gram(32, seed=1)
-        a = exact_sample(X, PARAMS, seed=99)
-        b = exact_sample(X, PARAMS, seed=99)
+        _, K = noisy_gram(32, seed=1)
+        L = cholesky_factor(K)
+        a = exact_sample(L, PARAMS, seed=99)
+        b = exact_sample(L, PARAMS, seed=99)
         np.testing.assert_array_equal(a.y, b.y)
         assert a.method is SampleMethod.Exact
         u = stream(99, LATENT).standard_normal(32)
@@ -123,8 +124,8 @@ class TestExactSample:
     def test_scalar_case_formula(self):
         """At n=1 the draw collapses to sqrt(variance + noise) times the
         underlying standard normal."""
-        X = sample_inputs(1, PARAMS, seed=5)
-        s = exact_sample(X, PARAMS, seed=123)
+        _, K = noisy_gram(1, seed=5)
+        s = exact_sample(cholesky_factor(K), PARAMS, seed=123)
         u1 = stream(123, LATENT).standard_normal(1)[0]
         assert s.y[0] == pytest.approx(np.sqrt(1.25) * u1, rel=1e-14)
 
@@ -132,8 +133,9 @@ class TestExactSample:
         """The sample covariance over 20000 seeds agrees with the noisy
         Gram matrix entrywise to within 4 standard errors."""
         n, reps = 4, 20000
-        X, K = noisy_gram(n, seed=77)
-        draws = np.stack([exact_sample(X, PARAMS, seed=r).y for r in range(reps)])
+        _, K = noisy_gram(n, seed=77)
+        L = cholesky_factor(K)
+        draws = np.stack([exact_sample(L, PARAMS, seed=r).y for r in range(reps)])
         emp = draws.T @ draws / reps
         for i in range(n):
             for j in range(n):
@@ -143,24 +145,30 @@ class TestExactSample:
 
 class TestWhiten:
     def test_identity_covariance_is_noop(self):
-        K = GramMatrix(entries=np.eye(3), jitter=1.0)
+        L = cholesky_factor(GramMatrix(entries=np.eye(3), jitter=1.0))
         y = np.array([0.3, -1.0, 2.0])
-        np.testing.assert_array_equal(whiten(y, K), y)
+        np.testing.assert_array_equal(whiten(y, L), y)
 
     def test_diagonal_forward_substitution(self):
-        K = GramMatrix(entries=np.diag([4.0, 9.0]), jitter=1.0)
-        np.testing.assert_allclose(whiten(np.array([2.0, 3.0]), K), [1.0, 1.0], atol=1e-14)
+        L = cholesky_factor(GramMatrix(entries=np.diag([4.0, 9.0]), jitter=1.0))
+        np.testing.assert_allclose(whiten(np.array([2.0, 3.0]), L), [1.0, 1.0], atol=1e-14)
 
     @pytest.mark.parametrize("n,seed", [(8, 0), (64, 1), (64, 2), (512, 3)])
     def test_round_trip_recovers_latent_draw(self, n, seed):
         """Whitening an exact sample with the same matrix returns the
         standard normal vector that generated it."""
-        X, K = noisy_gram(n, seed=seed)
-        s = exact_sample(X, PARAMS, seed=seed + 1000)
+        _, K = noisy_gram(n, seed=seed)
+        L = cholesky_factor(K)
+        s = exact_sample(L, PARAMS, seed=seed + 1000)
         u = stream(seed + 1000, LATENT).standard_normal(n)
-        z = whiten(s.y, K)
+        z = whiten(s.y, L)
         assert float(np.max(np.abs(z - u))) <= 1e-8
 
+    def test_refuses_a_y_that_is_not_a_vector_of_the_factor_length(self):
+        L = cholesky_factor(GramMatrix(entries=np.eye(3), jitter=1.0))
+        for y in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="expected \\(3,\\)"):
+                whiten(y, L)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -171,7 +179,7 @@ class TestWhiten:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_whitening_inverts_the_factor(self, n, dim, lengthscale, noise_variance, seed):
-        """whiten(L u, K) == u up to rounding, for L the factor of K; and so
+        """whiten(L u, L) == u up to rounding, for L the factor of K; and so
         does the harness's path, where the exact draw L u and its whitening
         share one factor, written in place of K."""
         p = KernelParams(
@@ -181,7 +189,8 @@ class TestWhiten:
         u = stream(seed, LATENT).standard_normal(n)
         problem = _Problem(X, p)
         y = problem.draw(SampleMethod.Exact, FidelitySpec(), seed).y
-        for z in (whiten(cholesky_factor(K) @ u, K), problem.whiten(y)):
+        L = cholesky_factor(K)
+        for z in (whiten(L @ u, L), problem.whiten(y)):
             assert float(np.max(np.abs(z - u))) <= 1e-9 * max(1.0, float(np.max(np.abs(u))))
 
 

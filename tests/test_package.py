@@ -5,9 +5,11 @@ import importlib
 import importlib.util
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import gpforge
+from gpforge import cli
 
 
 def test_all_lists_exactly_the_names_bound_from_submodules():
@@ -46,15 +48,21 @@ def test_every_export_is_read_outside_its_own_definition():
     assert unread == []
 
 
+def bench_tracing():
+    """The benchmark's tracer module, loaded from bench/tracing.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("gpforge_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_every_benchmark_trace_target_exists():
     """bench/tracing.py wraps each (module, function) of its TARGETS by
     name, and `bench/run.py --trace 1` fails on one that is gone; these
     tests do not otherwise run the benchmark, so renaming or deleting a
     traced function must fail here."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("gpforge_bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = bench_tracing()
     missing = [
         f"gpforge.{module}.{function}"
         for module, function, *_ in tracing.TARGETS
@@ -62,3 +70,25 @@ def test_every_benchmark_trace_target_exists():
     ]
     assert tracing.TARGETS
     assert missing == []
+
+
+def test_the_traced_draw_path_is_the_one_sample_and_verify_run(tmp_path):
+    """The tracer's draw-path targets are what `sample` and `verify` call:
+    over sample then verify for each method, one exact draw, two
+    quadrature draws (ciq and pciq) and one whitening per verify."""
+    tracing = bench_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.label = "draw"
+        for method, *flags in (("exact",), ("rff", "--features", "16"), ("ciq",), ("pciq",)):
+            out = str(tmp_path / f"{method}.csv")
+            assert cli.main(["sample", "--method", method, "--n", "24", "--output", out, *flags]) == 0
+            assert cli.main(["verify", "--sample", out]) == 0
+    finally:
+        tracer.label = None
+        tracer.uninstall()
+    counts = Counter(span.name for span in tracer.spans)
+    assert counts["exact.exact_sample"] == 1
+    assert counts["ciq.ciq_sample"] == 2
+    assert counts["exact.whiten"] == 4

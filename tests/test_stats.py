@@ -24,6 +24,7 @@ from gpforge import (
     KernelParams,
     SampleMethod,
     binomial_ci,
+    cholesky_factor,
     ciq_sample,
     cvm_statistic,
     cvm_test,
@@ -179,11 +180,12 @@ class TestResolveFidelity:
 def test_draw_dispatches_to_each_sampler():
     """draw gives, value for value, the draw of the sampler it picks."""
     X = sample_inputs(24, PARAMS, 2)
+    K_xi = gram(X, PARAMS, jitter=PARAMS.noise_variance)
     cases = [
-        (SampleMethod.Exact, exact_sample(X, PARAMS, 2)),
+        (SampleMethod.Exact, exact_sample(cholesky_factor(K_xi), PARAMS, 2)),
         (SampleMethod.Rff, rff_sample(X, PARAMS, 16, 2)),
-        (SampleMethod.Ciq, ciq_sample(X, PARAMS, 0.5, 3, 20, 2)),
-        (SampleMethod.CiqPreconditioned, ciq_sample(X, PARAMS, 0.5, 3, 20, 2, rank=4)),
+        (SampleMethod.Ciq, ciq_sample(K_xi, PARAMS, 0.5, 3, 20, 2)),
+        (SampleMethod.CiqPreconditioned, ciq_sample(K_xi, PARAMS, 0.5, 3, 20, 2, rank=4)),
     ]
     for method, expected in cases:
         fidelity = resolve_fidelity(method, 24, PARAMS, D=16, Q=3, J=20, rank=4)
@@ -237,7 +239,6 @@ def test_quadrature_draw_leaves_the_shared_matrix_fully_noisy():
     """ciq and pciq draw on the repeat's K_xi buffer with a lowered
     diagonal and put the diagonal back, bit for bit, also when the draw
     raises: a bad eta before anything is written, a bad rank after."""
-    from gpforge.ciq import _ciq_draw
     from gpforge.stats import _Problem
 
     X = sample_inputs(40, PARAMS, 6)
@@ -250,7 +251,7 @@ def test_quadrature_draw_leaves_the_shared_matrix_fully_noisy():
     K_xi = gram(X, PARAMS, jitter=PARAMS.noise_variance)
     for eta, rank in ((1.5, None), (0.5, 0)):
         with pytest.raises(ValueError):
-            _ciq_draw(K_xi, PARAMS, eta, 3, 20, 6, rank)
+            ciq_sample(K_xi, PARAMS, eta, 3, 20, 6, rank)
         np.testing.assert_array_equal(K_xi.entries, expected)
 
 
