@@ -40,7 +40,8 @@ from .rff import rff_sample
 _CRITICAL_VALUES = {0.10: 0.347, 0.05: 0.461, 0.01: 0.743}
 DEFAULT_ALPHA = 0.05
 
-# seed-derivation tag separating baseline repeats from grid-cell repeats
+# seed-derivation tag of the repeats every cell at one n shares with its
+# exact baseline; an exact sweep, its own baseline, derives from 0 instead
 _BASELINE_TAG = 1 << 32
 
 # the stages of one repeat, in order; a report's `timing` sums each per cell
@@ -117,7 +118,10 @@ class ExperimentConfig:
 class ExperimentCell:
     """One grid point. `fidelity` is the grid value (times the growth law
     for a fractional grid); `ran` is the fidelity the sampler ran at,
-    after rounding and defaults, or None if the value did not resolve."""
+    after rounding and defaults, or None if the value did not resolve.
+    `mcnemar_p` pairs a grid cell's rejections with its baseline's on
+    the same repeats (McNemar's exact test); it is None on a baseline
+    cell, on every cell of an exact sweep, and where either side failed."""
 
     n: int
     fidelity: float | None
@@ -130,6 +134,7 @@ class ExperimentCell:
     failed: bool = False
     message: str = ""
     ran: FidelitySpec | None = None
+    mcnemar_p: float | None = None
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,11 @@ class ExperimentReport:
     for an exact sweep). `timing` has one entry per cell, then one per
     baseline cell that is not a grid cell: {"cell": i} or {"baseline": i},
     with "seconds", the wall time per stage (inputs, assemble, factor,
-    draw, whiten, test) summed over the repeats that returned. Timings
-    differ from run to run, so they stay out of cell equality and the CSV.
+    draw, whiten, test) summed over the repeats the cell ran. The cells
+    at one n share each repeat's inputs, assemble and factor, and each
+    such stage's time is split evenly over the cells that ran the
+    repeat, so the entries sum to the time spent. Timings differ from
+    run to run, so they stay out of cell equality and the CSV.
     """
 
     config: ExperimentConfig
@@ -341,47 +349,87 @@ def _plan_cell(
 
 
 def _run_repeats(
-    config: ExperimentConfig, cell: ExperimentCell, seed_path: tuple[int, int],
+    config: ExperimentConfig, cells: tuple[ExperimentCell, ...], seed_path: tuple[int, int],
     start: int, stop: int,
-) -> tuple[int, dict[str, float], tuple[int, str] | None]:
-    """Generate, whiten and test repeats start..stop-1 of one planned cell.
+) -> list[tuple[list[bool], dict[str, float], tuple[int, str] | None]]:
+    """Generate, whiten and test repeats start..stop-1 of the planned cells
+    at one n, all on one problem per repeat.
 
-    Returns the rejection count, the seconds spent per stage, and the
-    failure: None, or (repeat, message) for the first repeat that
-    raised, after which no repeat runs.
+    A repeat draws the inputs and assembles K_xi once, runs every rff,
+    ciq and pciq draw on them, factors once, makes the exact draw, and
+    whitens and tests every draw through the one factor. Returns, per
+    cell, whether each repeat it ran rejected, the seconds it spent per
+    stage, and its failure: None, or (repeat, message) for the first
+    repeat that raised, after which the cell runs no repeat. A draw,
+    whitening or test that raises fails only its own cell; a shared
+    stage (inputs, assemble, factor) that raises fails every cell still
+    running. A shared stage's seconds are split evenly over the cells
+    that ran the repeat.
     """
-    params, method = config.params, SampleMethod(cell.method)
-    seconds = dict.fromkeys(_STAGES, 0.0)
+    params, methods = config.params, [SampleMethod(cell.method) for cell in cells]
+    rejects: list[list[bool]] = [[] for _ in cells]
+    seconds = [dict.fromkeys(_STAGES, 0.0) for _ in cells]
+    failures: list[tuple[int, str] | None] = [None] * len(cells)
     last = time.perf_counter()
 
-    def lap(stage: str) -> None:
+    def lap(stage: str, among: list[int]) -> None:
         nonlocal last
         now = time.perf_counter()
-        seconds[stage] += now - last
+        for k in among:
+            seconds[k][stage] += (now - last) / len(among)
         last = now
 
-    rejections = 0
+    def run(k: int, r: int, stage: str, step: typing.Callable, *args) -> typing.Any:
+        """step(*args) for cell k at repeat r, or None after it raised."""
+        try:
+            return step(*args)
+        except Exception as exc:  # any failure of a cell's own stage fails only that cell
+            failures[k] = (r, str(exc))
+            return None
+        finally:
+            lap(stage, [k])
+
     for r in range(start, stop):
+        live = [k for k, failure in enumerate(failures) if failure is None]
+        if not live:
+            break
+        exact = [k for k in live if methods[k] is SampleMethod.Exact]
+        samples = {}
         try:
             seed = _streams.derive_seed(config.base_seed, *seed_path, r)
-            problem = _Problem(sample_inputs(cell.n, params, seed), params)
-            lap("inputs")
+            problem = _Problem(sample_inputs(cells[0].n, params, seed), params)
+            lap("inputs", live)
             problem.K_xi()
-            lap("assemble")
-            if method is SampleMethod.Exact:  # the exact draw is L u
-                problem.factor()
-                lap("factor")
-            y = problem.draw(method, cell.ran, seed).y
-            lap("draw")
+            lap("assemble", live)
+            # ciq and pciq lower K_xi's diagonal and put it back, so every
+            # approximate draw runs before the factor takes K_xi's buffer
+            for k in live:
+                if k not in exact:
+                    samples[k] = run(k, r, "draw", problem.draw, methods[k], cells[k].ran, seed)
             problem.factor()
-            lap("factor")
-            z = problem.whiten(y)
-            lap("whiten")
-            rejections += cvm_test(z, config.alpha).reject
-            lap("test")
-        except Exception as exc:  # any failure of a repeat fails only its cell
-            return rejections, seconds, (r, str(exc))
-    return rejections, seconds, None
+            lap("factor", live)
+        except Exception as exc:  # a failed shared stage fails every cell still running
+            for k in live:
+                failures[k] = failures[k] or (r, str(exc))
+            break
+        for k in exact:  # the exact draw is L u
+            samples[k] = run(k, r, "draw", problem.draw, methods[k], cells[k].ran, seed)
+        for k, sample in samples.items():
+            z = None if sample is None else run(k, r, "whiten", problem.whiten, sample.y)
+            result = None if z is None else run(k, r, "test", cvm_test, z, config.alpha)
+            if result is not None:
+                rejects[k].append(result.reject)
+    return [(rejects[k], seconds[k], failures[k]) for k in range(len(cells))]
+
+
+def _mcnemar_p(cell: list[bool], baseline: list[bool]) -> float:
+    """McNemar's exact test of two paired rejection records: the two-sided
+    binomial p-value of the repeats where exactly one of them rejected,
+    1.0 where there are none."""
+    only_cell = sum(a and not b for a, b in zip(cell, baseline))
+    only_baseline = sum(b and not a for a, b in zip(cell, baseline))
+    discordant = only_cell + only_baseline
+    return float(scipy.stats.binomtest(only_cell, discordant).pvalue) if discordant else 1.0
 
 
 def _one_blas_thread() -> None:
@@ -439,61 +487,77 @@ def rejection_rate_experiment(
 ) -> ExperimentReport:
     """Rejection rate of the configured sampler over an (n, fidelity) grid.
 
-    Each cell runs `repeats` independent generate/whiten/test rounds
-    with seeds derived from (base_seed, cell, repeat), so results do
-    not depend on execution order or on the number of workers. An
-    exact-sampler baseline is measured at every n for reference. A
-    failing cell is recorded as failed and the sweep continues.
+    Each cell runs `repeats` generate/whiten/test rounds. An exact-sampler
+    baseline is measured at every n for reference. Every cell at the
+    n_list entry i takes the baseline's seeds, derived from (base_seed,
+    baseline tag, i, repeat), so the cells at one n share each repeat's
+    inputs, K_xi and Cholesky factor, and each grid cell's rejections
+    pair with the baseline's: `mcnemar_p` is McNemar's exact test on
+    them. An exact sweep is its own baseline, with seeds from
+    (base_seed, 0, i, repeat). Results do not depend on execution order
+    or on the number of workers. A failing cell is recorded as failed
+    and the sweep continues.
 
-    Each cell's repeats are split into contiguous chunks of
-    ceil(repeats / (4 * threads)), so that chunks of slow cells spread
-    over the workers; with threads > 1 the chunks run on that many
-    forked worker processes (in this process where fork is missing). A
-    worker that dies fails the cells whose chunks did not return, and
-    the sweep still returns its report.
+    The repeats at each n are split into contiguous chunks of
+    ceil(repeats / (4 * threads)), so that chunks spread over the
+    workers; with threads > 1 the chunks run on that many forked worker
+    processes (in this process where fork is missing). A worker that
+    dies fails the cells whose chunks did not return, and the sweep
+    still returns its report. threads below 1 raises ValueError.
     """
-    fidelities = (None,) if config.method is SampleMethod.Exact else config.fidelity_grid
-    grid = [(n, raw) for n in config.n_list for raw in fidelities]
-    plans = [(_plan_cell(config, config.method, *point), (0, i)) for i, point in enumerate(grid)]
-    if config.method is not SampleMethod.Exact:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    exact = config.method is SampleMethod.Exact
+    fidelities = (None,) if exact else config.fidelity_grid
+    grid = [(i, n, raw) for i, n in enumerate(config.n_list) for raw in fidelities]
+    plans = [(i, _plan_cell(config, config.method, n, raw)) for i, n, raw in grid]
+    if not exact:
         # the exact grid is its own baseline; other methods get one exact cell per n
         plans += [
-            (_plan_cell(config, SampleMethod.Exact, n, None), (_BASELINE_TAG, i))
+            (i, _plan_cell(config, SampleMethod.Exact, n, None))
             for i, n in enumerate(config.n_list)
         ]
 
     repeats = config.repeats
-    size = math.ceil(repeats / (4 * max(1, threads)))
-    tasks = [
-        (config, cell, seed_path, start, min(start + size, repeats))
-        for cell, seed_path in plans
-        if not cell.failed
-        for start in range(0, repeats, size)
-    ]
-    chunks: dict[tuple[int, int], list] = {seed_path: [] for _, seed_path in plans}
-    for task, outcome in zip(tasks, _run_tasks(tasks, min(threads, len(tasks)))):
-        chunks[task[2]].append((task, outcome))
+    size = math.ceil(repeats / (4 * threads))
+    tasks, members = [], []  # members: the plans a task runs, in its order
+    for i in range(len(config.n_list)):
+        at_n = [k for k, (j, cell) in enumerate(plans) if j == i and not cell.failed]
+        planned, seed_path = tuple(plans[k][1] for k in at_n), (0 if exact else _BASELINE_TAG, i)
+        for start in range(0, repeats, size):
+            tasks.append((config, planned, seed_path, start, min(start + size, repeats)))
+            members.append(at_n)
+
+    rejects = [[] for _ in plans]  # each plan's rejections, in repeat order
+    seconds = [dict.fromkeys(_STAGES, 0.0) for _ in plans]
+    failures = [[] for _ in plans]
+    for task, at_n, outcome in zip(tasks, members, _run_tasks(tasks, min(threads, len(tasks)))):
+        *_, start, stop = task
+        died = ([], {}, (start, f"a worker process died running repeats {start}-{stop - 1}"))
+        for k, (rejected, spent, failure) in zip(at_n, outcome or [died] * len(at_n)):
+            rejects[k] += rejected
+            for stage, s in spent.items():
+                seconds[k][stage] += s
+            if failure is not None:
+                failures[k].append(failure)
 
     cells, timing = [], []
-    for cell, seed_path in plans:
-        rejections, seconds, failures = 0, dict.fromkeys(_STAGES, 0.0), []
-        for (*_, start, stop), outcome in chunks[seed_path]:
-            died = (start, f"a worker process died running repeats {start}-{stop - 1}")
-            count, spent, failure = outcome or (0, {}, died)  # None: its worker died
-            rejections += count
-            for stage, s in spent.items():
-                seconds[stage] += s
-            if failure is not None:
-                failures.append(failure)
-        if failures:
+    for k, (i, cell) in enumerate(plans):
+        if failures[k]:
             # the lowest failing repeat's message, the one a serial loop meets
-            cell = dataclasses.replace(cell, failed=True, message=min(failures)[1])
+            cell = dataclasses.replace(cell, failed=True, message=min(failures[k])[1])
         elif not cell.failed:
-            rate = rejections / repeats
+            rate = sum(rejects[k]) / repeats
             ci_low, ci_high = binomial_ci(rate, repeats)
-            cell = dataclasses.replace(cell, rate=rate, ci_low=ci_low, ci_high=ci_high)
+            b = len(grid) + i  # a grid cell's baseline; a baseline cell and an exact sweep have none
+            paired = k < b < len(plans) and not failures[b]
+            cell = dataclasses.replace(
+                cell, rate=rate, ci_low=ci_low, ci_high=ci_high,
+                mcnemar_p=_mcnemar_p(rejects[k], rejects[b]) if paired else None,
+            )
         cells.append(cell)
-        timing.append({"baseline" if seed_path[0] else "cell": seed_path[1], "seconds": seconds})
+        label, index = ("cell", k) if k < len(grid) else ("baseline", i)
+        timing.append({label: index, "seconds": seconds[k]})
 
     return ExperimentReport(
         config=config,

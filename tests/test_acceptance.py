@@ -103,12 +103,15 @@ def test_criterion_2_rff_convergence():
     on one draw sees it only where it spreads the whitened marginals.
     At l=1.0 the error sits in about 16 of the 256 whitened directions
     (11-15 eigenvalues of the whitened covariance differ from 1 by more
-    than 0.5); at l=0.1 it covers most of them (about 180). Measured
-    with these seeds: at l=0.1, D=16 rejects at 0.170 [0.137, 0.203]
-    against an exact baseline of 0.054 [0.034, 0.074]; at l=1.0, D=16
-    rejects at the nominal 0.050 [0.031, 0.069] although the realised
-    KL is about 5.5. Neither D=2 nor n=1024 lifts it: probes of 60-200
-    repeats measured 0.02-0.10 at D=2 and 0.04-0.07 at n=1024.
+    than 0.5); at l=0.1 it covers most of them (about 180). Every cell
+    at one n shares the baseline's inputs and seeds, so the D values
+    are nested approximations on the same problems. Measured with these
+    seeds: at l=0.1, D=16 rejects at 0.156 [0.124, 0.188] against an
+    exact baseline of 0.054 [0.034, 0.074] (McNemar p = 2.8e-7); at
+    l=1.0, D=16 rejects at 0.042 [0.024, 0.060], below the same
+    baseline (McNemar p = 0.46), although the realised KL is about 5.5.
+    Neither D=2 nor n=1024 lifts it: probes of 60-200 repeats measured
+    0.02-0.10 at D=2 and 0.04-0.07 at n=1024.
     """
     start = time.monotonic()
     grid = (16.0, 64.0, 256.0, 1024.0, 4096.0)

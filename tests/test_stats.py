@@ -215,24 +215,95 @@ def count_calls(monkeypatch, fn):
     "method, grid",
     [
         (SampleMethod.Exact, ()),
-        (SampleMethod.Rff, (16,)),
-        (SampleMethod.Ciq, (20,)),
-        (SampleMethod.CiqPreconditioned, (20,)),
+        (SampleMethod.Rff, (4, 16, 64)),
+        (SampleMethod.Ciq, (4, 8, 20)),
+        (SampleMethod.CiqPreconditioned, (4, 8, 20)),
     ],
 )
 def test_each_repeat_assembles_and_factors_once(monkeypatch, method, grid):
-    """A repeat makes one gram call and one Cholesky factorization: the
-    sampler and the whitening share both, ciq and pciq included."""
+    """Each (n, repeat) makes one gram call and one Cholesky factorization,
+    whatever the grid size: every cell at that n and its baseline share
+    both, ciq and pciq included."""
     grams = count_calls(monkeypatch, gpforge.kernel.gram)
     factors = count_calls(monkeypatch, gpforge.exact.cholesky_factor)
     config = ExperimentConfig(
-        method=method, n_list=(24,), params=PARAMS, fidelity_grid=grid, repeats=3
+        method=method, n_list=(24, 32), params=PARAMS, fidelity_grid=grid, repeats=3
     )
     report = rejection_rate_experiment(config)
     assert not any(cell.failed for cell in report.cells + report.baseline)
-    rounds = 3 if method is SampleMethod.Exact else 6  # the exact grid is its own baseline
-    assert len(grams) == rounds
-    assert len(factors) == rounds
+    assert len(grams) == 2 * 3
+    assert len(factors) == 2 * 3
+
+
+def test_mcnemar_p_on_a_hand_built_table():
+    """8 repeats only the cell rejected, 1 only the baseline, 3 both, 4
+    neither: the two-sided exact p-value is 2 (1 + 9) / 2^9 on the 9
+    discordant pairs; with no discordant pair it is 1."""
+    cell = [True] * 8 + [False] + [True] * 3 + [False] * 4
+    baseline = [False] * 8 + [True] + [True] * 3 + [False] * 4
+    assert stats_module._mcnemar_p(cell, baseline) == pytest.approx(20 / 512, rel=1e-12)
+    assert stats_module._mcnemar_p(baseline, cell) == pytest.approx(20 / 512, rel=1e-12)
+    assert stats_module._mcnemar_p(cell, cell) == 1.0
+    assert stats_module._mcnemar_p([True] * 6, [False] * 6) == pytest.approx(2 / 64, rel=1e-12)
+
+
+def fresh_draw(method, X, fidelity, seed):
+    return draw(method, X, PARAMS, fidelity, seed).y
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.permutations([SampleMethod.Rff, SampleMethod.Ciq, SampleMethod.CiqPreconditioned]),
+)
+def test_draws_on_a_shared_problem_equal_fresh_draws(n, seed, order):
+    """On one problem, the rff, ciq and pciq draws in any order (a ciq
+    draw before a pciq draw included), then the factor and the exact draw,
+    are each bitwise equal to draw() on a fresh problem."""
+    from gpforge.stats import _Problem
+
+    X = sample_inputs(n, PARAMS, seed)
+    problem = _Problem(X, PARAMS)
+    problem.K_xi()
+    for method in [*order, SampleMethod.Exact]:
+        fidelity = resolve_fidelity(method, n, PARAMS, D=8, J=12, rank=max(1, n // 4))
+        if method is SampleMethod.Exact:
+            problem.factor()
+        y = problem.draw(method, fidelity, seed).y
+        np.testing.assert_array_equal(y, fresh_draw(method, X, fidelity, seed))
+
+
+@pytest.mark.parametrize(
+    "method, grid",
+    [
+        (SampleMethod.Exact, ()),
+        (SampleMethod.Rff, (4.0, 16.0)),
+        (SampleMethod.Ciq, (4.0, 16.0)),
+        (SampleMethod.CiqPreconditioned, (4.0, 16.0)),
+    ],
+)
+def test_each_cell_of_the_experiment_draws_as_a_fresh_problem(monkeypatch, method, grid):
+    """Every draw the experiment makes on a repeat's shared problem is
+    bitwise equal to draw() at the same inputs, fidelity and seed on a
+    fresh problem."""
+    shared_draw = stats_module._Problem.draw
+    draws = []
+
+    def recording_draw(self, method, fidelity, seed):
+        sample = shared_draw(self, method, fidelity, seed)
+        draws.append((method, self.X, fidelity, seed, sample.y.copy()))
+        return sample
+
+    monkeypatch.setattr(stats_module._Problem, "draw", recording_draw)
+    config = ExperimentConfig(
+        method=method, n_list=(12, 20), params=PARAMS, fidelity_grid=grid, repeats=3
+    )
+    rejection_rate_experiment(config)
+    assert len(draws) == 2 * 3 * (len(grid) + 1 if grid else 1)
+    monkeypatch.setattr(stats_module._Problem, "draw", shared_draw)
+    for method, X, fidelity, seed, y in draws:
+        np.testing.assert_array_equal(y, fresh_draw(method, X, fidelity, seed))
 
 
 def test_quadrature_draw_leaves_the_shared_matrix_fully_noisy():
@@ -601,6 +672,67 @@ class TestRejectionRateExperiment:
         report = rejection_rate_experiment(cfg, threads=2)
         assert report.cells[0].message == f"OpenBLAS threads {[1] * len(before)}"
         assert openblas_thread_counts() == before
+
+    def test_a_cell_whose_draws_fail_leaves_the_others_unchanged(self, monkeypatch):
+        """A cell whose draw raises at some seeds fails alone: every other
+        cell at its n, and the baseline, keep the rate and McNemar p-value
+        they have when nothing fails."""
+        cfg = ExperimentConfig(
+            method=SampleMethod.Ciq,
+            n_list=(16, 24),
+            params=SHORT,
+            fidelity_grid=(2.0, 4.0, 16.0),
+            repeats=12,
+            base_seed=8,
+        )
+        clean = rejection_rate_experiment(cfg)
+        draw = stats_module._Problem.draw
+
+        def failing_draw(self, method, fidelity, seed):
+            if fidelity.J == 4 and seed % 4 == 1:
+                raise ValueError(f"no draw at seed {seed}")
+            return draw(self, method, fidelity, seed)
+
+        monkeypatch.setattr(stats_module._Problem, "draw", failing_draw)
+        for threads in (1, 2):
+            report = rejection_rate_experiment(cfg, threads=threads)
+            failed = [c for c in report.cells if c.failed]
+            assert [c.fidelity for c in failed] == [4.0, 4.0]
+            assert all(c.message.startswith("no draw at seed") for c in failed)
+            assert all(c.mcnemar_p is None for c in failed)
+            kept = [c for c in report.cells if c.fidelity != 4.0] + list(report.baseline)
+            expected = [c for c in clean.cells if c.fidelity != 4.0] + list(clean.baseline)
+            assert kept == expected
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_are_refused(self, threads):
+        cfg = ExperimentConfig(
+            method=SampleMethod.Exact, n_list=(8,), params=PARAMS, repeats=2, base_seed=1
+        )
+        with pytest.raises(ValueError, match="threads"):
+            rejection_rate_experiment(cfg, threads=threads)
+
+    def test_mcnemar_p_pairs_each_cell_with_its_baseline(self):
+        """A grid cell's mcnemar_p is McNemar's exact test of its rejections
+        against the baseline's at the same n; baseline cells have none."""
+        cfg = ExperimentConfig(
+            method=SampleMethod.Rff,
+            n_list=(64, 128),
+            params=SHORT,
+            fidelity_grid=(2.0, 4096.0),
+            repeats=40,
+            base_seed=77,
+        )
+        report = rejection_rate_experiment(cfg)
+        crude, fine = report.cells[2:]
+        assert crude.rate > report.baseline[1].rate and crude.mcnemar_p < 1e-3
+        assert fine.mcnemar_p > 0.05
+        assert all(0.0 <= c.mcnemar_p <= 1.0 for c in report.cells)
+        assert all(c.mcnemar_p is None for c in report.baseline)
+        doc = json.loads(report_to_json(report))
+        assert [c["mcnemar_p"] for c in doc["cells"]] == [c.mcnemar_p for c in report.cells]
+        assert [c["mcnemar_p"] for c in doc["baseline"]] == [None, None]
+        assert report_csv_lines(report)[0].split(",")[-1] == "rescaled_fidelity"
 
     def test_broken_cell_is_isolated(self):
         """A fidelity value the sampler cannot digest marks its own
