@@ -3,9 +3,10 @@
 Each logical draw family (input locations, latent normals, spectral
 frequencies, feature weights, observation noise) gets its own
 counter-based Philox stream keyed by (seed, tag).  Streams are
-independent across tags and across seeds, reproducible on any thread
-count, and cheap to re-create, which lets the streaming sampler replay
-a stream from the start instead of holding its output in memory.
+independent across tags and across seeds, and reproducible on any
+thread count.  The random-feature sampler replays a stream from the
+start by restoring its saved `bit_generator.state`, instead of holding
+its output in memory or building the stream again.
 """
 
 from __future__ import annotations

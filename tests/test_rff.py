@@ -3,12 +3,14 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gpforge import (
+    InputData,
     KernelParams,
     PartialOutputError,
     SampleMethod,
@@ -21,8 +23,18 @@ from gpforge import (
     sample_frequencies,
     sample_inputs,
 )
+from gpforge import _streams
 from gpforge._streams import FREQUENCIES, WEIGHTS, stream
-from gpforge.rff import _BLOCK_POINTS, _CHUNK_ROWS
+from gpforge.rff import (
+    _BLOCK_POINTS,
+    _CHUNK_ROWS,
+    _REDUCTION_LIMIT,
+    _STEP_HI,
+    _STEP_LO,
+    _TABLE,
+    _TABLE_SIZE,
+    _feature_rows,
+)
 
 PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
 
@@ -120,6 +132,120 @@ class TestFeatureMap:
             feature_map(np.zeros(2), omegas)
 
 
+def libm_features(X, omegas, D):
+    """The interleaved features from numpy's own sin and cos."""
+    proj = X @ omegas.T
+    out = np.empty((X.shape[0], 2 * omegas.shape[0]))
+    out[:, 0::2] = math.sqrt(2.0 / D) * np.sin(proj)
+    out[:, 1::2] = math.sqrt(2.0 / D) * np.cos(proj)
+    return out
+
+
+class TestSineCosine:
+    """The table-and-Taylor sine and cosine behind every feature."""
+
+    def test_table_against_arbitrary_precision_oracle(self):
+        """Each table entry is within 1.2e-16 of the 40-digit sine or
+        cosine of m 2pi/M, and within 5.6e-17 where long double is wider
+        than float64 (measured: 5.5e-17 with an 80-bit long double,
+        1.1e-16 in float64 alone)."""
+        wide = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+        bound = 5.6e-17 if wide else 1.2e-16
+        with mpmath.workdps(40):
+            step = 2 * mpmath.pi / _TABLE_SIZE
+            for m in range(_TABLE_SIZE):
+                assert abs(mpmath.mpf(float(_TABLE[m].real)) - mpmath.sin(m * step)) <= bound
+                assert abs(mpmath.mpf(float(_TABLE[m].imag)) - mpmath.cos(m * step)) <= bound
+
+    def test_split_step_against_arbitrary_precision_oracle(self):
+        """_STEP_HI keeps 26 bits, so k _STEP_HI is exact up to the guard,
+        and _STEP_HI + _STEP_LO is 2pi/M closely enough that the
+        reduction errs by under 1e-18 at the guard (measured: 2.5e-27
+        per step)."""
+        assert (_STEP_HI * 2.0**33).is_integer() and _STEP_HI * 2.0**33 < 2.0**26
+        assert _REDUCTION_LIMIT / _STEP_HI == 2.0**27
+        with mpmath.workdps(40):
+            err = abs(mpmath.mpf(_STEP_HI) + mpmath.mpf(_STEP_LO) - 2 * mpmath.pi / _TABLE_SIZE)
+            assert 2**27 * err < 1e-18
+
+    @pytest.mark.parametrize("D", [16, 1024, 6000])
+    def test_features_against_arbitrary_precision_oracle(self, D):
+        """Every feature is within 2.8e-16 sqrt(2/D) of sqrt(2/D) times
+        the 40-digit sine or cosine of its projection, the bound the
+        module docstring derives (measured: at most 2.3e-16, at D=6000,
+        where sqrt(2/D) sits low in its binade)."""
+        rng = np.random.default_rng(D)
+        p = rng.standard_normal(400) * 10.0 ** rng.uniform(-3, 5.5, size=400)
+        got = _feature_rows(np.ones((1, 1)), p[:, None], D)[0]
+        scale = math.sqrt(2.0 / D)
+        with mpmath.workdps(40):
+            for j, p_j in enumerate(p):
+                exact = (mpmath.sin(mpmath.mpf(p_j)), mpmath.cos(mpmath.mpf(p_j)))
+                for value, e in zip(got[2 * j : 2 * j + 2], exact):
+                    assert abs(mpmath.mpf(float(value)) - scale * e) <= 2.8e-16 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, _BLOCK_POINTS),
+        r=st.integers(1, 40),
+        d=st.integers(1, 4),
+        log_scale=st.floats(-4.0, 5.5),
+        pairs=st.integers(1, 4096),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_close_to_libm_below_the_guard(self, m, r, d, log_scale, pairs, seed):
+        """Below the guard, every feature is within 4.5e-16 sqrt(2/D) of
+        sqrt(2/D) times numpy's sin or cos, and a reused work buffer
+        with stale contents gives the same features bitwise."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, d))
+        omegas = rng.standard_normal((r, d)) * 10.0**log_scale
+        assume(np.max(np.abs(X @ omegas.T)) < _REDUCTION_LIMIT)
+        D = 2 * pairs
+        got = _feature_rows(X, omegas, D)
+        tol = 4.5e-16 * math.sqrt(2.0 / D)
+        assert np.max(np.abs(got - libm_features(X, omegas, D))) <= tol
+        stale = np.full(8 * _BLOCK_POINTS * 64, np.nan)
+        assert _feature_rows(X, omegas, D, stale).tobytes() == got.tobytes()
+
+    def test_edge_projections(self):
+        """Zero, signed ties between table angles, multiples of a
+        quarter turn and the largest projections below the guard stay
+        within 4.5e-16 sqrt(2/D) of numpy's sin and cos."""
+        half_step = math.pi / _TABLE_SIZE
+        p = np.array(
+            [0.0, -0.0, 5e-324, 1e-300, half_step, -half_step, 3 * half_step, 2047 * half_step]
+            + [math.pi / 2, math.pi, -math.pi, 2 * math.pi, 1e5 * math.pi]
+            + [np.nextafter(_REDUCTION_LIMIT, 0.0), -np.nextafter(_REDUCTION_LIMIT, 0.0)]
+        )
+        D = 8
+        got = _feature_rows(np.ones((1, 1)), p[:, None], D)
+        expect = libm_features(np.ones((1, 1)), p[:, None], D)
+        assert np.max(np.abs(got - expect)) <= 4.5e-16 * math.sqrt(2.0 / D)
+
+    @pytest.mark.parametrize("lengthscale", [1e-9, 1e-15])
+    def test_beyond_the_guard_is_libm(self, lengthscale):
+        """Tiny lengthscales push projections past the guard, where every
+        feature is numpy's sin or cos bitwise, and each sin/cos pair
+        still has squared norm 2/D within 1e-15."""
+        p = KernelParams(variance=1.0, lengthscale=lengthscale, noise_variance=0.25, dim=2)
+        D = 2 * _CHUNK_ROWS
+        X = sample_inputs(_BLOCK_POINTS, p, seed=8).points
+        omegas = sample_frequencies(D, p, seed=9)
+        got = _feature_rows(X, omegas, D)
+        assert got.tobytes() == libm_features(X, omegas, D).tobytes()
+        pair_norms = (got.reshape(_BLOCK_POINTS, -1, 2) ** 2).sum(axis=2)
+        assert np.max(np.abs(pair_norms - 2.0 / D)) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_projection_is_libm(self, bad):
+        p = np.array([1.0, bad])[:, None]
+        with np.errstate(invalid="ignore"):
+            got = _feature_rows(np.ones((1, 1)), p, 4)
+            expect = libm_features(np.ones((1, 1)), p, 4)
+        np.testing.assert_array_equal(got, expect)
+
+
 class TestRffSample:
     def test_deterministic_per_seed(self):
         X = sample_inputs(16, PARAMS, seed=4)
@@ -133,6 +259,14 @@ class TestRffSample:
         X = sample_inputs(4, PARAMS, seed=4)
         with pytest.raises(ValueError):
             rff_sample(X, PARAMS, 9, seed=0)
+
+    def test_dimension_mismatch_rejected_before_any_draw(self, monkeypatch):
+        """Inputs of the wrong dimension get gram's message, before any
+        stream is made."""
+        calls = count_stream_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"dimension mismatch: inputs have d=3, params.dim=2"):
+            rff_sample(InputData(np.zeros((4, 3))), PARAMS, 16, 0)
+        assert calls == []
 
     def test_reduction_matches_feature_matrix(self):
         """The block-and-chunk reduction computes sigma_f * Z w for the
@@ -173,6 +307,18 @@ class TestRffSample:
             for j in range(n):
                 se = math.sqrt((K.entries[i, i] * K.entries[j, j] + K.entries[i, j] ** 2) / reps)
                 assert abs(emp[i, j] - K.entries[i, j]) < 4 * se + element_slack
+
+
+def count_stream_calls(monkeypatch):
+    """Record the tag of every stream made while the test runs."""
+    calls = []
+
+    def counted(seed, tag):
+        calls.append(tag)
+        return stream(seed, tag)
+
+    monkeypatch.setattr(_streams, "stream", counted)
+    return calls
 
 
 class TestStreamingEquivalence:
@@ -217,6 +363,15 @@ class TestStreamingEquivalence:
         batch = rff_sample(sample_inputs(n, PARAMS, seed), PARAMS, D, seed)
         streamed = np.array([v for _, v in self.collect(n, D, seed)])
         assert np.array_equal(streamed, batch.y)
+
+    @pytest.mark.parametrize("n", [3 * _BLOCK_POINTS, 10 * _BLOCK_POINTS + 1])
+    def test_streams_replayed_not_rebuilt(self, monkeypatch, n):
+        """One streaming call makes each of its four streams once, at any
+        n: the frequency and weight streams are replayed for each block
+        by restoring their saved states."""
+        calls = count_stream_calls(monkeypatch)
+        rff_sample_streaming(n, PARAMS, 2 * _CHUNK_ROWS + 8, 3, lambda i, v: None)
+        assert sorted(calls) == sorted([_streams.INPUTS, _streams.NOISE, FREQUENCIES, WEIGHTS])
 
     def test_single_element(self):
         streamed = self.collect(1, 16, 5)
