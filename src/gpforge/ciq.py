@@ -25,6 +25,9 @@ from .precond import NystromPreconditioner, apply_shifted_inverse, nystrom_facto
 # Krylov breakdown threshold, a few ulp above what float64 reaches
 _BREAKDOWN_REL = 1e-14
 
+# relative residual at which a shifted solve stops
+_SOLVE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -65,24 +68,23 @@ def _msminres(
     A: np.ndarray,
     shifts: np.ndarray,
     u: np.ndarray,
-    J: int,
+    caps: tuple[int, ...],
     tol: float,
-) -> tuple[np.ndarray, SolveReport]:
+) -> list[tuple[np.ndarray, SolveReport]]:
     """Multi-shift minimum-residual solves on one shared Krylov basis.
 
     Each shifted system keeps its own scalar Givens recurrence; one
-    operator product per iteration serves all shifts.
+    operator product per iteration serves all shifts. One recurrence
+    runs to the largest of the increasing caps and returns the state at
+    each: a cap past convergence or breakdown gets the final state, as a
+    solve capped there stops.
     """
     n = u.shape[0]
     nsh = shifts.shape[0]
     X = np.zeros((nsh, n))
     beta1 = float(np.linalg.norm(u))
     if beta1 == 0.0:
-        return X, SolveReport(
-            iterations_run=0,
-            residual_norms=np.zeros(nsh),
-            converged=np.ones(nsh, dtype=bool),
-        )
+        return [(X, SolveReport(0, np.zeros(nsh), np.ones(nsh, dtype=bool)))] * len(caps)
     v = u / beta1
     v_old = np.zeros(n)
     beta = 0.0
@@ -93,12 +95,11 @@ def _msminres(
     phibar = np.full(nsh, beta1)
     cs = np.full(nsh, -1.0)
     sn = np.zeros(nsh)
-    iterations = 0
     breakdown = False
-    for j in range(J):
-        iterations += 1
+    states: list[tuple[np.ndarray, SolveReport]] = []
+    for iterations in range(1, caps[-1] + 1):
         p = A @ v
-        if j > 0:
+        if iterations > 1:
             p = p - beta * v_old
         alpha = float(v @ p)
         p -= alpha * v
@@ -120,19 +121,18 @@ def _msminres(
         W = w_new
         if beta_new <= _BREAKDOWN_REL * beta1:
             breakdown = True
+        else:
+            v_old = v
+            v = p / beta_new
+            beta = beta_new
+        residuals = np.abs(phibar) / beta1
+        stopped = breakdown or float(np.max(residuals)) <= tol
+        if stopped or iterations == caps[len(states)]:
+            report = SolveReport(iterations, residuals, residuals <= tol, breakdown)
+            states.append((X.copy(), report))
+        if stopped:
             break
-        v_old = v
-        v = p / beta_new
-        beta = beta_new
-        if float(np.max(np.abs(phibar))) / beta1 <= tol:
-            break
-    residuals = np.abs(phibar) / beta1
-    return X, SolveReport(
-        iterations_run=iterations,
-        residual_norms=residuals,
-        converged=residuals <= tol,
-        breakdown=breakdown,
-    )
+    return states + states[-1:] * (len(caps) - len(states))
 
 
 def _pcg_single(
@@ -140,41 +140,83 @@ def _pcg_single(
     shift: float,
     u: np.ndarray,
     precond: NystromPreconditioner,
-    J: int,
+    caps: tuple[int, ...],
     tol: float,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Preconditioned conjugate gradients on (shift I + K) x = u."""
+) -> list[tuple[np.ndarray, float, int, bool]]:
+    """Preconditioned conjugate gradients on (shift I + K) x = u: one
+    recurrence to the largest of the increasing caps, with the iterate,
+    relative residual, iteration count and breakdown flag at each, as
+    _msminres gives them."""
     n = u.shape[0]
     x = np.zeros(n)
     b_norm = float(np.linalg.norm(u))
     if b_norm == 0.0:
-        return x, 0.0, 0, False
+        return [(x, 0.0, 0, False)] * len(caps)
     r = u.copy()
     z = apply_shifted_inverse(precond, r, shift)
     p = z.copy()
     rz = float(r @ z)
     residual = 1.0
-    iterations = 0
     breakdown = False
-    for _ in range(J):
-        iterations += 1
+    states: list[tuple[np.ndarray, float, int, bool]] = []
+    for iterations in range(1, caps[-1] + 1):
         Ap = A @ p + shift * p
         curvature = float(p @ Ap)
         if curvature <= 0.0:
             breakdown = True
-            break
-        alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * Ap
-        residual = float(np.linalg.norm(r)) / b_norm
-        if residual <= tol:
+        else:
+            alpha = rz / curvature
+            x += alpha * p
+            r -= alpha * Ap
+            residual = float(np.linalg.norm(r)) / b_norm
+        stopped = breakdown or residual <= tol
+        if stopped or iterations == caps[len(states)]:
+            states.append((x.copy(), residual, iterations, breakdown))
+        if stopped or iterations == caps[-1]:
             break
         z = apply_shifted_inverse(precond, r, shift)
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-    return x, residual, iterations, breakdown
+    return states + states[-1:] * (len(caps) - len(states))
+
+
+def _solve_to_caps(
+    K: GramMatrix,
+    shifts: Sequence[float],
+    u: np.ndarray,
+    caps: tuple[int, ...],
+    tol: float,
+    precond: NystromPreconditioner | None,
+) -> list[tuple[np.ndarray, SolveReport]]:
+    """shifted_solve's result at each of the strictly increasing caps, from
+    one recurrence per system; each equals, bit for bit, a shifted_solve
+    capped there."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 1:
+        raise ValueError(f"u must be a vector, got shape {u.shape}")
+    if len(caps) == 0 or caps[0] < 1:
+        raise ValueError(f"J must be >= 1, got {caps[0] if caps else caps}")
+    if any(a >= b for a, b in zip(caps, caps[1:])):
+        raise ValueError(f"iteration caps must increase strictly, got {caps}")
+    shift_arr = np.asarray(shifts, dtype=np.float64)
+    if shift_arr.ndim != 1 or shift_arr.shape[0] < 1:
+        raise ValueError("shifts must be a nonempty 1-d sequence")
+    if precond is None:
+        return _msminres(K.entries, shift_arr, u, caps, tol)
+    per_shift = [_pcg_single(K.entries, float(s), u, precond, caps, tol) for s in shift_arr]
+    states = []
+    for runs in zip(*per_shift):  # the shifts' states at one cap
+        X, residuals, iterations, breakdowns = (np.array(column) for column in zip(*runs))
+        report = SolveReport(
+            iterations_run=int(iterations.max()),
+            residual_norms=residuals,
+            converged=residuals <= tol,
+            breakdown=bool(breakdowns.any()),
+        )
+        states.append((X, report))
+    return states
 
 
 def shifted_solve(
@@ -182,7 +224,7 @@ def shifted_solve(
     shifts: Sequence[float],
     u: np.ndarray,
     J: int,
-    tol: float = 1e-10,
+    tol: float = _SOLVE_TOL,
     precond: NystromPreconditioner | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Approximately solve (shift_q I + K) v_q = u for every shift at once.
@@ -194,24 +236,7 @@ def shifted_solve(
     Krylov breakdown the current iterates come back with the report
     flagging the event instead of raising.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1:
-        raise ValueError(f"u must be a vector, got shape {u.shape}")
-    if J < 1:
-        raise ValueError(f"J must be >= 1, got {J}")
-    shift_arr = np.asarray(shifts, dtype=np.float64)
-    if shift_arr.ndim != 1 or shift_arr.shape[0] < 1:
-        raise ValueError("shifts must be a nonempty 1-d sequence")
-    if precond is None:
-        return _msminres(K.entries, shift_arr, u, J, tol)
-    runs = [_pcg_single(K.entries, float(s), u, precond, J, tol) for s in shift_arr]
-    X, residuals, iterations, breakdowns = (np.array(column) for column in zip(*runs))
-    return X, SolveReport(
-        iterations_run=int(iterations.max()),
-        residual_norms=residuals,
-        converged=residuals <= tol,
-        breakdown=bool(breakdowns.any()),
-    )
+    return _solve_to_caps(K, shifts, u, (J,), tol, precond)[0]
 
 
 def spectral_envelope(K: GramMatrix) -> tuple[float, float]:
@@ -231,12 +256,20 @@ def ciq_sqrt_mv(
     K: GramMatrix,
     u: np.ndarray,
     Q: int,
-    J: int,
+    J: int | tuple[int, ...],
     precond: NystromPreconditioner | None = None,
-) -> tuple[np.ndarray, SolveReport]:
-    """Approximate K^(1/2) u through Q shifted solves capped at J iterations."""
+) -> tuple[np.ndarray, SolveReport] | list[tuple[np.ndarray, SolveReport]]:
+    """Approximate K^(1/2) u through Q shifted solves capped at J iterations.
+
+    J may also be a strictly increasing tuple of caps: one recurrence then
+    serves them all, and the product and report at each cap come back in
+    a list, each bitwise equal to a call at that single cap.
+    """
     lam_min, lam_max = spectral_envelope(K)
     shifts, weights = build_quadrature(lam_min, lam_max, Q)
+    if isinstance(J, tuple):
+        states = _solve_to_caps(K, shifts, u, J, _SOLVE_TOL, precond)
+        return [(K.entries @ (weights @ solutions), report) for solutions, report in states]
     solutions, report = shifted_solve(K, shifts, u, J, precond=precond)
     return K.entries @ (weights @ solutions), report
 
@@ -246,10 +279,10 @@ def ciq_sample(
     params: KernelParams,
     eta: float,
     Q: int,
-    J: int,
+    J: int | tuple[int, ...],
     seed: int,
     rank: int | None = None,
-) -> GpSample:
+) -> GpSample | tuple[GpSample, ...]:
     """Draw a sample via the quadrature square root of the partially
     noisy Gram matrix, on the fully noisy K_xi = gram(X, params,
     jitter=noise_variance).
@@ -264,6 +297,10 @@ def ciq_sample(
     the draw is preconditioned by a Nystrom factor of that rank; the
     sample's fidelity records the rank the factor reached, and the
     shifted solve's report rides along.
+
+    J may also be a strictly increasing tuple of caps. The draw then
+    builds one factor and runs one recurrence for them all, and returns
+    the sample at each cap, each bitwise equal to a draw at that J.
     """
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -274,19 +311,24 @@ def ciq_sample(
         K = GramMatrix(entries=entries, jitter=jitter)
         precond = None if rank is None else nystrom_factor(K, rank)
         u = _streams.stream(seed, _streams.LATENT).standard_normal(K_xi.n)
-        f_hat, report = ciq_sqrt_mv(K, u, Q, J, precond)
+        runs = ciq_sqrt_mv(K, u, Q, J, precond)
     finally:
         np.fill_diagonal(entries, params.variance + params.noise_variance)
     xi = _streams.stream(seed, _streams.NOISE).standard_normal(K_xi.n)
-    y = f_hat + math.sqrt((1.0 - eta) * params.noise_variance) * xi
-    return GpSample(
-        y=y,
-        f=f_hat,
-        method=SampleMethod.Ciq if precond is None else SampleMethod.CiqPreconditioned,
-        params=params,
-        fidelity=FidelitySpec(
-            eta=eta, Q=Q, J=J, rank=None if precond is None else precond.factor.shape[1]
-        ),
-        seed=seed,
-        solver=report,
+    noise = math.sqrt((1.0 - eta) * params.noise_variance) * xi
+    caps, runs = (J, runs) if isinstance(J, tuple) else ((J,), [runs])
+    samples = tuple(
+        GpSample(
+            y=f_hat + noise,
+            f=f_hat,
+            method=SampleMethod.Ciq if precond is None else SampleMethod.CiqPreconditioned,
+            params=params,
+            fidelity=FidelitySpec(
+                eta=eta, Q=Q, J=cap, rank=None if precond is None else precond.factor.shape[1]
+            ),
+            seed=seed,
+            solver=report,
+        )
+        for cap, (f_hat, report) in zip(caps, runs)
     )
+    return samples if isinstance(J, tuple) else samples[0]

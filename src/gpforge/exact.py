@@ -102,9 +102,13 @@ def whiten(y: np.ndarray, L: np.ndarray) -> np.ndarray:
     """L^-1 y for a lower-triangular Cholesky factor L of K_xi.
 
     If y is a zero-mean Gaussian with covariance K_xi, the result is a
-    standard normal vector.
+    standard normal vector. Only y is checked for non-finite values
+    (ValueError), in O(n); L is not scanned, and a non-finite L gives a
+    non-finite result.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != L.shape[0]:
         raise ValueError(f"y has shape {y.shape}, expected ({L.shape[0]},)")
-    return scipy.linalg.solve_triangular(L, y, lower=True)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y contains non-finite values")
+    return scipy.linalg.solve_triangular(L, y, lower=True, check_finite=False)

@@ -2,7 +2,7 @@
 
 A greedy pivoted partial Cholesky factor of the noiseless kernel gives
 a rank-k surrogate whose shifted inverse is cheap to apply through the
-Woodbury identity.
+Woodbury identity, at any shift, through one k x k eigendecomposition.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import _streams
 from .kernel import GramMatrix, KernelParams, gram, sample_inputs
@@ -26,7 +25,8 @@ class NystromPreconditioner:
 
     noise is the diagonal level of the matrix being preconditioned, so
     (F F^T + noise I)^(-1) approximates the inverse of the full noisy
-    matrix.
+    matrix. F^T F = V diag(eigvals) V^T is decomposed once, and with
+    basis U = F V, F F^T = U diag(eigvals) U^T at every shift.
     """
 
     factor: np.ndarray
@@ -41,8 +41,10 @@ class NystromPreconditioner:
         if self.noise <= 0:
             raise ValueError(f"noise must be > 0, got {self.noise}")
         object.__setattr__(self, "factor", F)
-        # k x k inner product cached once; every Woodbury application needs it
-        object.__setattr__(self, "_gram_core", F.T @ F)
+        eigvals, V = np.linalg.eigh(F.T @ F)
+        # F^T F is semidefinite: a rounding below 0 is 0, so eigvals + s > 0 for any s > 0
+        object.__setattr__(self, "_eigvals", np.maximum(eigvals, 0.0))
+        object.__setattr__(self, "_basis", F @ V)
 
 
 def default_rank(n: int) -> int:
@@ -82,21 +84,15 @@ def nystrom_factor(K: GramMatrix, k: int) -> NystromPreconditioner:
 def apply_shifted_inverse(
     P: NystromPreconditioner, v: np.ndarray, extra_shift: float = 0.0
 ) -> np.ndarray:
-    """(F F^T + (noise + extra_shift) I)^(-1) v via the Woodbury identity."""
+    """(F F^T + s I)^(-1) v for s = noise + extra_shift, via the Woodbury
+    identity on the eigenbasis: (v - U ((U^T v) / (eigvals + s))) / s,
+    two matrix-vector products and no factorization."""
     s = P.noise + extra_shift
     if s <= 0:
         raise ValueError(f"total shift must be > 0, got {s}")
     v = np.asarray(v, dtype=np.float64)
-    k = P.factor.shape[1]
-    if k == 0:
-        return v / s
-    core = P._gram_core + s * np.eye(k)
-    try:
-        c_factor = scipy.linalg.cho_factor(core, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError(f"singular Woodbury core despite positive shift: {exc}") from exc
-    t = scipy.linalg.cho_solve(c_factor, P.factor.T @ v)
-    return (v - P.factor @ t) / s
+    U = P._basis
+    return (v - U @ ((U.T @ v) / (P._eigvals + s))) / s
 
 
 def preconditioned_condition_bound(

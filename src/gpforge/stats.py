@@ -146,8 +146,12 @@ class ExperimentReport:
     draw, whiten, test) summed over the repeats the cell ran. The cells
     at one n share each repeat's inputs, assemble and factor, and each
     such stage's time is split evenly over the cells that ran the
-    repeat, so the entries sum to the time spent. Timings differ from
-    run to run, so they stay out of cell equality and the CSV.
+    repeat, so the entries sum to the time spent. The ciq or pciq cells
+    at one n also share each repeat's solve: it runs in the draw of the
+    first of them to draw (the lowest cell index still running), whose
+    draw seconds carry it, and the others' draw seconds are only the
+    lookup. Timings differ from run to run, so they stay out of cell
+    equality and the CSV.
     """
 
     config: ExperimentConfig
@@ -279,13 +283,27 @@ class _Problem:
     K_xi through ciq.ciq_sample. L is factored at most once, in place of
     K_xi; a K_xi() call after factor() assembles the matrix again. Not
     safe to share between threads.
+
+    `shared` lists the fidelities of the cells that will draw on the
+    problem. The quadrature draws among them that differ only in J share
+    one solve: the first of them to draw at a seed runs ciq_sample at all
+    their caps at once, and each takes its own sample, bitwise the draw
+    it makes alone. A shared call that raises caches nothing, and each
+    draw then runs alone.
     """
 
-    def __init__(self, X: InputData, params: KernelParams) -> None:
+    def __init__(
+        self, X: InputData, params: KernelParams, shared: typing.Iterable[FidelitySpec] = ()
+    ) -> None:
         self.X = X
         self.params = params
         self._K_xi: GramMatrix | None = None
         self._L: np.ndarray | None = None
+        self._caps: dict[FidelitySpec, set[int]] = {}  # the J caps of each shared solve
+        for fidelity in shared:
+            if fidelity.J is not None:
+                self._caps.setdefault(dataclasses.replace(fidelity, J=None), set()).add(fidelity.J)
+        self._samples: dict[tuple[FidelitySpec, int], GpSample] = {}
 
     def K_xi(self) -> GramMatrix:
         if self._K_xi is None:
@@ -307,7 +325,16 @@ class _Problem:
             return exact_sample(self.factor(), p, seed)
         if method is SampleMethod.Rff:
             return rff_sample(self.X, p, fidelity.D, seed)
-        return ciq_sample(self.K_xi(), p, fidelity.eta, fidelity.Q, fidelity.J, seed, fidelity.rank)
+
+        def at(J: int | tuple[int, ...]) -> GpSample | tuple[GpSample, ...]:
+            return ciq_sample(self.K_xi(), p, fidelity.eta, fidelity.Q, J, seed, fidelity.rank)
+
+        caps = tuple(sorted(self._caps.get(dataclasses.replace(fidelity, J=None), set())))
+        if len(caps) > 1 and (fidelity, seed) not in self._samples:
+            with contextlib.suppress(Exception):  # the draw alone below then raises as unshared
+                for J, sample in zip(caps, at(caps)):
+                    self._samples[dataclasses.replace(fidelity, J=J), seed] = sample
+        return self._samples.get((fidelity, seed)) or at(fidelity.J)
 
 
 def _plan_cell(
@@ -356,7 +383,8 @@ def _run_repeats(
     at one n, all on one problem per repeat.
 
     A repeat draws the inputs and assembles K_xi once, runs every rff,
-    ciq and pciq draw on them, factors once, makes the exact draw, and
+    ciq and pciq draw on them (the ciq or pciq cells through one shared
+    solve), factors once, makes the exact draw, and
     whitens and tests every draw through the one factor. Returns, per
     cell, whether each repeat it ran rejected, the seconds it spent per
     stage, and its failure: None, or (repeat, message) for the first
@@ -397,7 +425,8 @@ def _run_repeats(
         samples = {}
         try:
             seed = _streams.derive_seed(config.base_seed, *seed_path, r)
-            problem = _Problem(sample_inputs(cells[0].n, params, seed), params)
+            X = sample_inputs(cells[0].n, params, seed)
+            problem = _Problem(X, params, [cells[k].ran for k in live])
             lap("inputs", live)
             problem.K_xi()
             lap("assemble", live)

@@ -23,6 +23,7 @@ from gpforge import (
     spectral_envelope,
 )
 from gpforge._streams import LATENT, NOISE, stream
+from gpforge.ciq import _solve_to_caps
 from gpforge.kernel import GramMatrix
 from gpforge.precond import default_rank
 
@@ -107,6 +108,16 @@ class TestBuildQuadrature:
         assert err_2q / err_q <= 3.0 * predicted_ratio
 
 
+def assert_same_solve(state, fresh):
+    """Two (iterates, SolveReport) pairs agree bit for bit."""
+    (X, report), (X_fresh, fresh_report) = state, fresh
+    np.testing.assert_array_equal(X, X_fresh)
+    assert report.iterations_run == fresh_report.iterations_run
+    np.testing.assert_array_equal(report.residual_norms, fresh_report.residual_norms)
+    np.testing.assert_array_equal(report.converged, fresh_report.converged)
+    assert report.breakdown == fresh_report.breakdown
+
+
 class TestShiftedSolve:
     def test_identity_single_iteration(self):
         u = np.array([2.0, -1.0, 0.5])
@@ -171,6 +182,66 @@ class TestShiftedSolve:
         ]
         np.testing.assert_allclose(report.residual_norms, true, rtol=0, atol=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 3), st.integers(4, 120)),
+        lengthscale=st.floats(0.1, 3.0),
+        caps=st.lists(st.integers(1, 90), min_size=1, max_size=5, unique=True).map(
+            lambda c: tuple(sorted(c))
+        ),
+        tol=st.sampled_from([1e-10, 1e-6, 0.0]),
+        seed=st.integers(0, 2**32 - 1),
+        preconditioned=st.booleans(),
+    )
+    def test_one_run_gives_each_capped_solve(
+        self, n, lengthscale, caps, tol, seed, preconditioned
+    ):
+        """One msMINRES or PCG run to several caps gives, at each cap, the
+        iterates and report of a fresh solve capped there, bit for bit:
+        below, at and past convergence, and past a breakdown."""
+        p = KernelParams(variance=1.0, lengthscale=lengthscale, noise_variance=0.25, dim=2)
+        K = gram(sample_inputs(n, p, seed), p, jitter=0.125)
+        u = stream(seed, LATENT).standard_normal(n)
+        shifts, _ = build_quadrature(*spectral_envelope(K), 3)
+        P = nystrom_factor(K, default_rank(n)) if preconditioned else None
+        states = _solve_to_caps(K, shifts, u, caps, tol, P)
+        assert len(states) == len(caps)
+        for cap, state in zip(caps, states):
+            assert_same_solve(state, shifted_solve(K, shifts, u, J=cap, tol=tol, precond=P))
+
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_caps_below_at_and_past_convergence(self, preconditioned):
+        """The caps straddle the iteration at which the solve converges."""
+        p = KernelParams(variance=1.0, lengthscale=0.7, noise_variance=0.25, dim=2)
+        K = gram(sample_inputs(64, p, 5), p, jitter=0.125)
+        u = stream(5, LATENT).standard_normal(64)
+        shifts, _ = build_quadrature(*spectral_envelope(K), 3)
+        P = nystrom_factor(K, 8) if preconditioned else None
+        stop = shifted_solve(K, shifts, u, J=400, precond=P)[1].iterations_run
+        caps = (1, stop - 1, stop, stop + 1, 400)
+        states = _solve_to_caps(K, shifts, u, caps, 1e-10, P)
+        assert [bool(r.converged.all()) for _, r in states] == [False, False, True, True, True]
+        assert [r.iterations_run for _, r in states] == [1, stop - 1, stop, stop, stop]
+        for cap, state in zip(caps, states):
+            assert_same_solve(state, shifted_solve(K, shifts, u, J=cap, precond=P))
+
+    def test_caps_past_a_breakdown(self):
+        """At n=3 with no tolerance the Lanczos recurrence breaks down at
+        iteration 3; every later cap gets that final state."""
+        p = KernelParams(variance=1.0, lengthscale=0.5, noise_variance=0.25, dim=2)
+        K = gram(sample_inputs(3, p, 4), p, jitter=0.125)
+        u = stream(4, LATENT).standard_normal(3)
+        states = _solve_to_caps(K, [0.1, 1.0], u, (2, 3, 7, 50), 0.0, None)
+        assert [r.breakdown for _, r in states] == [False, True, True, True]
+        assert [r.iterations_run for _, r in states] == [2, 3, 3, 3]
+        for cap, state in zip((2, 3, 7, 50), states):
+            assert_same_solve(state, shifted_solve(K, [0.1, 1.0], u, J=cap, tol=0.0))
+
+    def test_caps_must_increase_from_one(self):
+        for caps in ((), (0, 4), (4, 4), (8, 4)):
+            with pytest.raises(ValueError):
+                _solve_to_caps(GramMatrix(np.eye(2)), [1.0], np.ones(2), caps, 1e-10, None)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             shifted_solve(GramMatrix(np.eye(2)), [1.0], np.ones((2, 2)), J=4)
@@ -228,6 +299,23 @@ class TestCiqSample:
         np.testing.assert_array_equal(a.y, b.y)
         assert a.method is SampleMethod.Ciq
         assert a.fidelity.Q == 4 and a.fidelity.J == 8
+
+    @pytest.mark.parametrize("rank", [None, 4])
+    def test_several_caps_give_the_draw_at_each(self, rank):
+        """A tuple of caps gives one sample per cap, each bitwise the draw
+        at that J, and leaves K_xi fully noisy."""
+        K_xi = self.noisy_gram(40, seed=3)
+        before = K_xi.entries.copy()
+        caps = (2, 9, 60)
+        samples = ciq_sample(K_xi, self.PARAMS, eta=0.5, Q=3, J=caps, seed=5, rank=rank)
+        np.testing.assert_array_equal(K_xi.entries, before)
+        assert len(samples) == len(caps)
+        for J, sample in zip(caps, samples):
+            alone = ciq_sample(K_xi, self.PARAMS, eta=0.5, Q=3, J=J, seed=5, rank=rank)
+            assert sample.fidelity == alone.fidelity and sample.method is alone.method
+            np.testing.assert_array_equal(sample.y, alone.y)
+            np.testing.assert_array_equal(sample.f, alone.f)
+            assert_same_solve((sample.y, sample.solver), (alone.y, alone.solver))
 
     def test_eta_domain(self):
         K_xi = self.noisy_gram(4, seed=2)

@@ -338,6 +338,26 @@ def test_finite_values_that_overflow_exit_two(tmp_path, capsys, reader):
     assert_one_error_line(err)
 
 
+def test_verify_refuses_a_non_finite_factor(tmp_path, capsys, monkeypatch):
+    """whiten does not scan the factor, so a non-finite one gives a
+    non-finite z, which verify refuses as a usage error."""
+    import gpforge.stats
+
+    out = tmp_path / "s.csv"
+    assert run(capsys, "sample", "--method", "exact", "--n", "8", "--output", str(out))[0] == 0
+    factor = gpforge.stats.cholesky_factor
+
+    def poisoned(K, overwrite=False):
+        L = factor(K, overwrite)
+        L[5, 1] = np.inf
+        return L
+
+    monkeypatch.setattr(gpforge.stats, "cholesky_factor", poisoned)
+    rc, _, err = run(capsys, "verify", "--sample", str(out))
+    assert rc == 2 and "non-finite" in err
+    assert_one_error_line(err)
+
+
 def test_sample_from_inputs_round_trips_through_verify(tmp_path, capsys):
     """A sample drawn at loaded inputs verifies against the same file;
     an --n that contradicts the file is refused."""

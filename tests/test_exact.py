@@ -11,6 +11,7 @@ from gpforge import (
     KernelParams,
     SampleMethod,
     cholesky_factor,
+    cvm_test,
     exact_sample,
     gram,
     sample_inputs,
@@ -169,6 +170,23 @@ class TestWhiten:
         for y in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
             with pytest.raises(ValueError, match="expected \\(3,\\)"):
                 whiten(y, L)
+
+    def test_a_non_finite_y_is_refused(self):
+        L = cholesky_factor(GramMatrix(entries=np.eye(3), jitter=1.0))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                whiten(np.array([0.5, bad, 1.0]), L)
+
+    def test_a_non_finite_factor_whitens_to_what_the_test_refuses(self):
+        """L is not scanned: a non-finite entry gives a non-finite z, which
+        cvm_test refuses."""
+        _, K = noisy_gram(6, seed=3)
+        L = cholesky_factor(K)
+        L[4, 2] = np.nan
+        z = whiten(np.ones(6), L)
+        assert not np.all(np.isfinite(z))
+        with pytest.raises(ValueError, match="non-finite"):
+            cvm_test(z)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -75,7 +75,8 @@ def test_every_benchmark_trace_target_exists():
 def test_the_traced_draw_path_is_the_one_sample_and_verify_run(tmp_path):
     """The tracer's draw-path targets are what `sample` and `verify` call:
     over sample then verify for each method, one exact draw, two
-    quadrature draws (ciq and pciq) and one whitening per verify."""
+    quadrature draws (ciq and pciq), each through one traced shifted
+    solve, one Nystrom factor (pciq) and one whitening per verify."""
     tracing = bench_tracing()
     tracer = tracing.Tracer()
     tracer.install()
@@ -91,4 +92,6 @@ def test_the_traced_draw_path_is_the_one_sample_and_verify_run(tmp_path):
     counts = Counter(span.name for span in tracer.spans)
     assert counts["exact.exact_sample"] == 1
     assert counts["ciq.ciq_sample"] == 2
+    assert counts["ciq.shifted_solve"] == 2
+    assert counts["precond.nystrom_factor"] == 1
     assert counts["exact.whiten"] == 4

@@ -115,6 +115,41 @@ class TestApplyInverse:
             got = apply_shifted_inverse(P, v, s)
             assert np.linalg.norm(got - expect) / np.linalg.norm(expect) <= 1e-8
 
+    @staticmethod
+    def factors():
+        """A Nystrom factor, a rank-deficient one (8 columns spanning 3
+        directions, so F^T F is singular) and an exhausted one (no columns)."""
+        K = rbf_gram(48, seed=9)
+        mix = stream(15, LATENT).standard_normal((3, 8))
+        return {
+            "nystrom": (nystrom_factor(K, 7).factor, K.jitter),
+            "rank-deficient": (nystrom_factor(K, 3).factor @ mix, 1e-3),
+            "exhausted": (np.zeros((48, 0)), 0.25),
+        }
+
+    @pytest.mark.parametrize("case", ["nystrom", "rank-deficient", "exhausted"])
+    def test_matches_dense_inverse_over_twelve_decades_of_shift(self, case):
+        F, noise = self.factors()[case]
+        P = NystromPreconditioner(factor=F, noise=noise)
+        v = stream(16, LATENT).standard_normal(48)
+        for extra in np.geomspace(1e-8, 1e4, 13):
+            dense = F @ F.T + (noise + extra) * np.eye(48)
+            expect = np.linalg.solve(dense, v)
+            got = apply_shifted_inverse(P, v, extra)
+            assert np.linalg.norm(got - expect) / np.linalg.norm(expect) <= 1e-8
+
+    @pytest.mark.parametrize("case", ["nystrom", "rank-deficient", "exhausted"])
+    def test_is_symmetric_as_pcg_needs(self, case):
+        """<a, P^-1 b> = <P^-1 a, b> to rounding, at every shift."""
+        F, noise = self.factors()[case]
+        P = NystromPreconditioner(factor=F, noise=noise)
+        a, b = stream(17, LATENT).standard_normal((2, 48))
+        for extra in (0.0, 1e-8, 1.0, 1e4):
+            left = float(a @ apply_shifted_inverse(P, b, extra))
+            right = float(apply_shifted_inverse(P, a, extra) @ b)
+            scale = np.linalg.norm(a) * np.linalg.norm(b) / (noise + extra)
+            assert abs(left - right) <= 1e-13 * scale
+
     def test_nonpositive_total_shift_rejected(self):
         P = NystromPreconditioner(factor=np.zeros((2, 0)), noise=0.5)
         with pytest.raises(ValueError):

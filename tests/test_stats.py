@@ -235,6 +235,55 @@ def test_each_repeat_assembles_and_factors_once(monkeypatch, method, grid):
     assert len(factors) == 2 * 3
 
 
+@pytest.mark.parametrize("method", [SampleMethod.Ciq, SampleMethod.CiqPreconditioned])
+def test_each_repeat_runs_one_solve_for_every_cap(monkeypatch, method):
+    """The ciq or pciq cells at one n read their draws off one recurrence
+    per (n, repeat), to the largest cap, and pciq builds one Nystrom
+    factor per (n, repeat), where each cell used to run its own."""
+    solves = count_calls(monkeypatch, gpforge.ciq._solve_to_caps)
+    factors = count_calls(monkeypatch, gpforge.precond.nystrom_factor)
+    config = ExperimentConfig(
+        method=method, n_list=(24, 32), params=PARAMS, fidelity_grid=(4, 8, 20), repeats=3
+    )
+    report = rejection_rate_experiment(config)
+    assert not any(cell.failed for cell in report.cells + report.baseline)
+    assert len(solves) == 2 * 3
+    assert len(factors) == (2 * 3 if method is SampleMethod.CiqPreconditioned else 0)
+
+
+@pytest.mark.parametrize("method", [SampleMethod.Ciq, SampleMethod.CiqPreconditioned])
+def test_a_problem_sharing_caps_gives_each_seed_its_own_draws(method):
+    """Draws at several caps and seeds on one problem that shares its
+    solves are each bitwise the fresh draw at that cap and seed."""
+    X = sample_inputs(30, PARAMS, 4)
+    fidelities = [resolve_fidelity(method, 30, PARAMS, J=J) for J in (3, 9, 40)]
+    problem = stats_module._Problem(X, PARAMS, fidelities)
+    for seed in (4, 5, 4):
+        for fidelity in fidelities[::-1]:
+            y = problem.draw(method, fidelity, seed).y
+            np.testing.assert_array_equal(y, fresh_draw(method, X, fidelity, seed))
+
+
+def test_a_shared_solve_that_raises_leaves_each_draw_to_run_alone(monkeypatch):
+    """When the shared call raises, nothing is cached: each quadrature
+    draw runs alone and raises, or returns, as it would unshared."""
+    X = sample_inputs(20, PARAMS, 3)
+    fidelities = [resolve_fidelity(SampleMethod.Ciq, 20, PARAMS, J=J) for J in (4, 16)]
+    shared_ciq = stats_module.ciq_sample
+
+    def failing_when_shared(K_xi, params, eta, Q, J, seed, rank=None):
+        if isinstance(J, tuple):
+            raise ValueError("shared solve failed")
+        return shared_ciq(K_xi, params, eta, Q, J, seed, rank)
+
+    monkeypatch.setattr(stats_module, "ciq_sample", failing_when_shared)
+    problem = stats_module._Problem(X, PARAMS, fidelities)
+    for fidelity in fidelities:
+        y = problem.draw(SampleMethod.Ciq, fidelity, 3).y
+        np.testing.assert_array_equal(y, fresh_draw(SampleMethod.Ciq, X, fidelity, 3))
+    assert problem._samples == {}
+
+
 def test_mcnemar_p_on_a_hand_built_table():
     """8 repeats only the cell rejected, 1 only the baseline, 3 both, 4
     neither: the two-sided exact p-value is 2 (1 + 9) / 2^9 on the 9
