@@ -288,8 +288,8 @@ class _Problem:
     problem. The quadrature draws among them that differ only in J share
     one solve: the first of them to draw at a seed runs ciq_sample at all
     their caps at once, and each takes its own sample, bitwise the draw
-    it makes alone. A shared call that raises caches nothing, and each
-    draw then runs alone.
+    it makes alone. A shared call that raises caches nothing, and its
+    error fails each cell that draws on it.
     """
 
     def __init__(
@@ -331,9 +331,8 @@ class _Problem:
 
         caps = tuple(sorted(self._caps.get(dataclasses.replace(fidelity, J=None), set())))
         if len(caps) > 1 and (fidelity, seed) not in self._samples:
-            with contextlib.suppress(Exception):  # the draw alone below then raises as unshared
-                for J, sample in zip(caps, at(caps)):
-                    self._samples[dataclasses.replace(fidelity, J=J), seed] = sample
+            for J, sample in zip(caps, at(caps)):
+                self._samples[dataclasses.replace(fidelity, J=J), seed] = sample
         return self._samples.get((fidelity, seed)) or at(fidelity.J)
 
 

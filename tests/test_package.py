@@ -4,7 +4,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -95,3 +98,26 @@ def test_the_traced_draw_path_is_the_one_sample_and_verify_run(tmp_path):
     assert counts["ciq.shifted_solve"] == 2
     assert counts["precond.nystrom_factor"] == 1
     assert counts["exact.whiten"] == 4
+
+
+def test_importing_the_package_loads_no_numerics_beyond_scipy_stats():
+    """The benchmark's setup_s times the package import, and scipy.stats
+    already loads every numpy and scipy module the package uses; a fresh
+    interpreter that imports scipy.stats first must load no further
+    numpy.* or scipy.* module when it imports gpforge."""
+    src = Path(gpforge.__file__).resolve().parents[1]
+    script = (
+        "import sys, scipy.stats\n"
+        "before = set(sys.modules)\n"
+        "import gpforge\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

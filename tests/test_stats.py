@@ -264,9 +264,10 @@ def test_a_problem_sharing_caps_gives_each_seed_its_own_draws(method):
             np.testing.assert_array_equal(y, fresh_draw(method, X, fidelity, seed))
 
 
-def test_a_shared_solve_that_raises_leaves_each_draw_to_run_alone(monkeypatch):
-    """When the shared call raises, nothing is cached: each quadrature
-    draw runs alone and raises, or returns, as it would unshared."""
+def test_a_shared_solve_that_raises_fails_each_quadrature_cell(monkeypatch):
+    """When the shared call raises, nothing is cached and each quadrature
+    draw raises its error: the draw alone would run the same checks on
+    the same numerics, so it is not retried."""
     X = sample_inputs(20, PARAMS, 3)
     fidelities = [resolve_fidelity(SampleMethod.Ciq, 20, PARAMS, J=J) for J in (4, 16)]
     shared_ciq = stats_module.ciq_sample
@@ -279,8 +280,8 @@ def test_a_shared_solve_that_raises_leaves_each_draw_to_run_alone(monkeypatch):
     monkeypatch.setattr(stats_module, "ciq_sample", failing_when_shared)
     problem = stats_module._Problem(X, PARAMS, fidelities)
     for fidelity in fidelities:
-        y = problem.draw(SampleMethod.Ciq, fidelity, 3).y
-        np.testing.assert_array_equal(y, fresh_draw(SampleMethod.Ciq, X, fidelity, 3))
+        with pytest.raises(ValueError, match="shared solve failed"):
+            problem.draw(SampleMethod.Ciq, fidelity, 3)
     assert problem._samples == {}
 
 
