@@ -87,14 +87,14 @@ class FidelitySpec:
     ) -> "FidelitySpec":
         """Fill Q and J from the quadrature and iteration calculators.
 
-        delta_Q defaults to half its cap so the quadrature and Krylov
-        error budgets are split evenly. ciq_min_quadrature refuses a
-        delta_Q outside (0, 1) and ciq_min_iterations one at or above
-        its cap.
+        delta_Q defaults to half its cap, the Krylov headroom at delta_Q = 0,
+        so the quadrature and Krylov error budgets are split evenly.
+        ciq_min_quadrature refuses a delta_Q outside (0, 1) and
+        ciq_min_iterations one at or above its cap.
         """
         cls(epsilon=epsilon, eta=eta)  # rejects either out of range before sqrt(1 - eta)
-        if delta_Q is None:  # half of epsilon * sigma_xi * sqrt(1 - eta)
-            delta_Q = 0.5 * (epsilon * math.sqrt(params.noise_variance) * math.sqrt(1.0 - eta))
+        if delta_Q is None:
+            delta_Q = 0.5 * _krylov_headroom(n, eta, params.noise_variance, epsilon, 0.0)
         Q = ciq_min_quadrature(n, eta, params.noise_variance, delta_Q)
         J = ciq_min_iterations(n, eta, params.noise_variance, epsilon, delta_Q, Q)
         return cls(epsilon=epsilon, delta_Q=delta_Q, eta=eta, Q=Q, J=J)
@@ -149,25 +149,15 @@ def _finite(name: str, formula: Callable[[], float]) -> float:
 
 
 def rff_min_features(n: int, epsilon: float, delta: float, sigma_xi2: float) -> int:
-    """Smallest even feature count sufficient for the elementwise guarantee,
-    D >= 8*log(n/sqrt(delta))*n^2 / (8*eps^2*sigma_xi^4), with the
-    published prefactor kept verbatim.
-    """
-    if n < 1 or epsilon <= 0 or sigma_xi2 <= 0:
-        raise ValueError("n, epsilon and sigma_xi2 must be positive")
+    """Smallest even feature count sufficient for the elementwise guarantee: the
+    published D >= 8*log(n/sqrt(delta))*n^2 / (8*eps^2*sigma_xi^4), written as
+    8*log(n/sqrt(delta)) / t^2 for the per-entry budget t of rff_element_budget.
+    Dividing by t twice forms no square: a noise variance whose square would
+    overflow gives D = 2, and a D that is not finite is refused."""
+    t = rff_element_budget(n, epsilon, sigma_xi2)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    log_term = math.log(n / math.sqrt(delta))
-
-    def quotient() -> float:
-        try:
-            return 8.0 * log_term * n**2 / (8.0 * epsilon**2 * sigma_xi2**2)
-        except OverflowError:  # a square above the float range: the same quotient in logs
-            log_denominator = 2.0 * (math.log(epsilon) + math.log(sigma_xi2))
-            return math.exp(math.log(log_term * n**2) - log_denominator)
-
-    raw = _finite("D", quotient)
-    D = max(2, math.ceil(raw))
+    D = max(2, math.ceil(_finite("D", lambda: 8.0 * math.log(n / math.sqrt(delta)) / t / t)))
     return D + D % 2
 
 

@@ -83,8 +83,6 @@ def _msminres(
     nsh = shifts.shape[0]
     X = np.zeros((nsh, n))
     beta1 = float(np.linalg.norm(u))
-    if beta1 == 0.0:
-        return [(X, SolveReport(0, np.zeros(nsh), np.ones(nsh, dtype=bool)))] * len(caps)
     v = u / beta1
     v_old = np.zeros(n)
     beta = 0.0
@@ -126,7 +124,9 @@ def _msminres(
             v = p / beta_new
             beta = beta_new
         residuals = np.abs(phibar) / beta1
-        stopped = breakdown or float(np.max(residuals)) <= tol
+        worst = float(np.max(residuals))
+        breakdown = breakdown or not math.isfinite(worst)  # an overflow or NaN ends the basis
+        stopped = breakdown or worst <= tol
         if stopped or iterations == caps[len(states)]:
             report = SolveReport(iterations, residuals, residuals <= tol, breakdown)
             states.append((X.copy(), report))
@@ -150,8 +150,6 @@ def _pcg_single(
     n = u.shape[0]
     x = np.zeros(n)
     b_norm = float(np.linalg.norm(u))
-    if b_norm == 0.0:
-        return [(x, 0.0, 0, False)] * len(caps)
     r = u.copy()
     z = apply_shifted_inverse(precond, r, shift)
     p = z.copy()
@@ -162,7 +160,7 @@ def _pcg_single(
     for iterations in range(1, caps[-1] + 1):
         Ap = A @ p + shift * p
         curvature = float(p @ Ap)
-        if curvature <= 0.0:
+        if not 0.0 < curvature < math.inf:  # indefinite, or a product overflowed
             breakdown = True
         else:
             alpha = rz / curvature
@@ -192,7 +190,7 @@ def _solve_to_caps(
 ) -> list[tuple[np.ndarray, SolveReport]]:
     """shifted_solve's result at each of the strictly increasing caps, from
     one recurrence per system; each equals, bit for bit, a shifted_solve
-    capped there."""
+    capped there. A zero u is solved by zeros in 0 iterations at every cap."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError(f"u must be a vector, got shape {u.shape}")
@@ -203,6 +201,10 @@ def _solve_to_caps(
     shift_arr = np.asarray(shifts, dtype=np.float64)
     if shift_arr.ndim != 1 or shift_arr.shape[0] < 1:
         raise ValueError("shifts must be a nonempty 1-d sequence")
+    if float(np.linalg.norm(u)) == 0.0:
+        nsh = shift_arr.shape[0]
+        zero = SolveReport(0, np.zeros(nsh), np.ones(nsh, dtype=bool))
+        return [(np.zeros((nsh, u.shape[0])), zero)] * len(caps)
     if precond is None:
         return _msminres(K.entries, shift_arr, u, caps, tol)
     per_shift = [_pcg_single(K.entries, float(s), u, precond, caps, tol) for s in shift_arr]
@@ -311,12 +313,15 @@ def ciq_sample(
         K = GramMatrix(entries=entries, jitter=jitter)
         precond = None if rank is None else nystrom_factor(K, rank)
         u = _streams.stream(seed, _streams.LATENT).standard_normal(K_xi.n)
-        runs = ciq_sqrt_mv(K, u, Q, J, precond)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite solve is refused below
+            runs = ciq_sqrt_mv(K, u, Q, J, precond)
     finally:
         np.fill_diagonal(entries, params.variance + params.noise_variance)
+    caps, runs = (J, runs) if isinstance(J, tuple) else ((J,), [runs])
+    if any(not np.all(np.isfinite(report.residual_norms)) for _, report in runs):
+        raise ValueError("the Krylov solve met a non-finite value: kernel values too large")
     xi = _streams.stream(seed, _streams.NOISE).standard_normal(K_xi.n)
     noise = math.sqrt((1.0 - eta) * params.noise_variance) * xi
-    caps, runs = (J, runs) if isinstance(J, tuple) else ((J,), [runs])
     samples = tuple(
         GpSample(
             y=f_hat + noise,

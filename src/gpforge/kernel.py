@@ -163,14 +163,18 @@ def gram(X: InputData, params: KernelParams, jitter: float = 0.0) -> GramMatrix:
     the same at any small d: at n = 2048 the two are level at d = 2, and
     cdist is 2-3 times slower at d = 20 and 4-5 times at d = 50. The
     diagonal is pinned to variance + jitter exactly, so changing the
-    jitter of an assembled matrix only means rewriting its diagonal.
+    jitter of an assembled matrix only means rewriting its diagonal. A
+    lengthscale whose square overflows gives the constant kernel.
     """
     if jitter < 0:
         raise ValueError(f"jitter must be >= 0, got {jitter}")
     if X.dim != params.dim:
         raise ValueError(f"dimension mismatch: inputs have d={X.dim}, params.dim={params.dim}")
     K = cdist(X.points, X.points, "sqeuclidean")
-    K /= -2.0 * params.lengthscale**2
+    try:
+        K /= -2.0 * params.lengthscale**2
+    except OverflowError:  # l^2 past the float range: the kernel is the constant variance
+        K.fill(0.0)
     np.exp(K, out=K)
     K *= params.variance
     np.fill_diagonal(K, params.variance + jitter)

@@ -56,6 +56,18 @@ class TestFidelitySpec:
         assert spec.J == precond_min_iterations(lam_17, 256, 0.5, 0.25, 0.1, ciq.delta_Q) == 507
         assert ciq.J == 357
 
+    @pytest.mark.parametrize("n", [1, 256, 10**6])
+    def test_default_delta_q_is_half_the_cap(self, n):
+        """for_ciq and for_pciq take delta_Q as half of the cap
+        epsilon*sigma_xi*sqrt(1-eta), bitwise, across the grid."""
+        for epsilon in (0.01, 0.1, 0.5, 1.0):
+            for sigma_xi2 in (1e-3, 0.25, 1.0, 3.0):
+                for eta in (0.1, 0.5, 0.9):
+                    params = KernelParams(1.0, 1.0, sigma_xi2, 2)
+                    expect = 0.5 * (epsilon * math.sqrt(sigma_xi2) * math.sqrt(1.0 - eta))
+                    assert FidelitySpec.for_ciq(n, params, epsilon, eta).delta_Q == expect
+                    assert FidelitySpec.for_pciq(n, params, epsilon, eta).delta_Q == expect
+
     def test_quadrature_budget_cap_enforced(self):
         cap = 0.1 * 0.5 * math.sqrt(0.5)
         with pytest.raises(ValueError):
@@ -121,6 +133,37 @@ class TestRffMinFeatures:
         expected = max(2, math.ceil(exact))
         expected += expected % 2
         assert rff_min_features(n, epsilon, 0.01, sigma_xi2) == pytest.approx(expected, rel=1e-12)
+
+    def test_equals_the_published_expression(self):
+        """D is 8*log(n/sqrt(delta))*n^2 / (8*eps^2*sigma_xi^4), evaluated
+        as written and rounded up to an even count, wherever it stays
+        below 1e12."""
+        checked = 0
+        for n in (1, 2, 7, 100, 1000, 10**5):
+            for epsilon in (0.01, 0.1, 0.37, 1.0):
+                for delta in (1e-3, 0.01, 0.3, 0.9):
+                    for sigma_xi2 in (0.1, 0.25, 1.0, 10.0, 1e3):
+                        log_term = math.log(n / math.sqrt(delta))
+                        raw = 8.0 * log_term * n**2 / (8.0 * epsilon**2 * sigma_xi2**2)
+                        if raw >= 1e12:
+                            continue
+                        expect = max(2, math.ceil(raw))
+                        expect += expect % 2
+                        assert rff_min_features(n, epsilon, delta, sigma_xi2) == expect
+                        checked += 1
+        assert checked > 300
+
+    def test_extreme_noise_variances(self):
+        """A noise variance of 1e200 needs 2 features, one of 1e-200 is
+        refused, and (n, eps, sigma_xi2) = (8, 1e-170, 1e160), where eps^2
+        underflows and sigma_xi^4 overflows, gives the quotient through logs."""
+        assert rff_min_features(100, 0.1, 0.01, 1e200) == 2
+        with pytest.raises(ValueError, match="D is not a finite number"):
+            rff_min_features(100, 0.1, 0.01, 1e-200)
+        log_term = math.log(8 / math.sqrt(0.01))
+        logs = math.exp(math.log(log_term * 8**2) - 2.0 * (math.log(1e-170) + math.log(1e160)))
+        D = rff_min_features(8, 1e-170, 0.01, 1e160)
+        assert math.isfinite(D) and D == pytest.approx(logs, rel=1e-12)
 
     def test_even_and_floor(self):
         d = rff_min_features(2, 1.0, 0.5, 10.0)

@@ -25,7 +25,7 @@ from gpforge import (
 from gpforge._streams import LATENT, NOISE, stream
 from gpforge.ciq import _solve_to_caps
 from gpforge.kernel import GramMatrix
-from gpforge.precond import default_rank
+from gpforge.precond import NystromPreconditioner, default_rank
 
 def scalar_max_relative_error(quadrature, lambda_min, lambda_max):
     grid = np.geomspace(lambda_min, lambda_max, 400)
@@ -156,6 +156,44 @@ class TestShiftedSolve:
         assert report.breakdown
         np.testing.assert_allclose(sols[0], u / 2.0, atol=1e-12)
         assert bool(report.converged[0])
+
+    def test_a_non_finite_value_ends_msminres_as_a_breakdown(self):
+        """At variance 1e300 the first product's norm overflows and every
+        residual is NaN; the solve stops at iteration 1 and flags a
+        breakdown instead of running on to its cap."""
+        p = KernelParams(variance=1e300, lengthscale=1.0, noise_variance=0.25, dim=2)
+        K = gram(sample_inputs(10, p, 1), p, jitter=0.25)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, report = shifted_solve(K, [0.1, 1.0], np.ones(10), J=10**4)
+        assert report.breakdown and report.iterations_run == 1
+        assert not np.any(np.isfinite(report.residual_norms))
+
+    def test_a_curvature_that_overflows_ends_pcg_as_a_breakdown(self):
+        """p^T (sI + K) p overflows to inf on K = 1e308 I; PCG stops at
+        iteration 1 with a breakdown, its iterate still the zero start."""
+        P = NystromPreconditioner(factor=np.zeros((3, 1)), noise=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X, report = shifted_solve(
+                GramMatrix(1e308 * np.eye(3)), [0.5], np.full(3, 100.0), J=10**4, precond=P
+            )
+        assert report.breakdown and report.iterations_run == 1
+        np.testing.assert_array_equal(X, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    @pytest.mark.parametrize("caps", [(1,), (1, 5, 40)])
+    def test_a_zero_right_hand_side_is_solved_by_zeros(self, preconditioned, caps):
+        """u = 0 gives zero iterates in 0 iterations with every shift
+        converged at each cap, through either solver."""
+        p = KernelParams(variance=1.0, lengthscale=0.7, noise_variance=0.25, dim=2)
+        K = gram(sample_inputs(12, p, 2), p, jitter=0.125)
+        P = nystrom_factor(K, 3) if preconditioned else None
+        states = _solve_to_caps(K, [0.1, 1.0, 10.0], np.zeros(12), caps, 1e-10, P)
+        assert len(states) == len(caps)
+        for X, report in states:
+            np.testing.assert_array_equal(X, np.zeros((3, 12)))
+            assert report.iterations_run == 0 and not report.breakdown
+            np.testing.assert_array_equal(report.residual_norms, np.zeros(3))
+            assert report.converged.all()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -316,6 +354,16 @@ class TestCiqSample:
             np.testing.assert_array_equal(sample.y, alone.y)
             np.testing.assert_array_equal(sample.f, alone.f)
             assert_same_solve((sample.y, sample.solver), (alone.y, alone.solver))
+
+    @pytest.mark.parametrize("J", [10**4, (3, 10**4)])
+    def test_a_non_finite_solve_is_refused(self, J):
+        """The iterate after a NaN residual is garbage, so the draw raises
+        ValueError instead of returning it."""
+        p = KernelParams(variance=1e300, lengthscale=1.0, noise_variance=0.25, dim=2)
+        K_xi = gram(sample_inputs(10, p, 1), p, jitter=p.noise_variance)
+        with pytest.raises(ValueError, match="non-finite"):
+            ciq_sample(K_xi, p, eta=0.5, Q=3, J=J, seed=4)
+        np.testing.assert_array_equal(np.diag(K_xi.entries), np.full(10, 1e300 + 0.25))
 
     def test_eta_domain(self):
         K_xi = self.noisy_gram(4, seed=2)

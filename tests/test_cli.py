@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,48 @@ def test_inputs_far_from_the_origin_sample_and_verify(tmp_path, capsys, method):
     )
     assert rc == 0, err
     assert json.loads(stdout)["reject"] is False
+
+
+@pytest.mark.parametrize("method", ["exact", "ciq", "pciq"])
+def test_a_lengthscale_whose_square_overflows_samples_and_verifies(tmp_path, capsys, method):
+    """--lengthscale 1e300 squares past the float range; the kernel is
+    then the constant variance, and the sample is drawn and verifies."""
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--method", method, "--n", "10", "--lengthscale", "1e300"]
+    rc, _, err = run(capsys, *argv, "--output", str(out))
+    assert rc == 0, err
+    rc, stdout, err = run(capsys, "verify", "--sample", str(out))
+    assert rc == 0, err
+    assert json.loads(stdout)["reject"] is False
+
+
+def test_a_solve_that_meets_a_non_finite_value_exits_one(tmp_path, capsys):
+    """At variance 1e300 msMINRES meets a NaN at its first iteration: the
+    solve stops there, and the sample is refused with one error line,
+    no traceback and no numpy warning, although J is 10^5."""
+    argv = ["sample", "--method", "ciq", "--n", "10", "--variance", "1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run(capsys, *argv, "--iterations", "100000", "--output", str(tmp_path / "o"))
+    assert rc == 1
+    assert_one_error_line(err)
+    assert "non-finite" in err
+
+
+def test_running_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    """A MemoryError, as numpy raises for a Gram matrix past the machine's
+    memory, is one error line at exit 1; no allocation is attempted."""
+    import gpforge.kernel
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setattr(gpforge.kernel, "cdist", refuse)
+    argv = ["sample", "--method", "exact", "--n", "8", "--output", str(tmp_path / "s.csv")]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 1
+    assert_one_error_line(err)
+    assert "Unable to allocate" in err
 
 
 def test_sample_pciq_sidecar_records_rank_reached(tmp_path, capsys):

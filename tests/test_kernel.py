@@ -181,6 +181,19 @@ class TestGram:
                 expect = rbf(X.points[i], X.points[j], p)
                 assert K.entries[i, j] == pytest.approx(expect, abs=1e-12)
 
+    def test_a_lengthscale_whose_square_overflows_gives_the_constant_kernel(self):
+        """l^2 raises OverflowError above about 1.3e154; every off-diagonal
+        entry is then the variance, bitwise as at l = 1e150, where
+        exp(-d^2 / 2e300) rounds to 1."""
+        p = make_params(variance=1.7, lengthscale=1e300)
+        X = sample_inputs(9, p, seed=3)
+        K = gram(X, p, jitter=0.25)
+        expect = np.full((9, 9), 1.7)
+        np.fill_diagonal(expect, 1.7 + 0.25)
+        np.testing.assert_array_equal(K.entries, expect)
+        near = gram(X, make_params(variance=1.7, lengthscale=1e150), jitter=0.25)
+        np.testing.assert_array_equal(K.entries, near.entries)
+
     def test_rejects_negative_jitter(self):
         p = make_params()
         X = sample_inputs(3, p, seed=1)
