@@ -23,14 +23,13 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import precond as precond_mod
 from .bounds import DEFAULT_EPSILON, DEFAULT_ETA, DecayModel, FidelitySpec
-from .exact import GpSample, SampleMethod
-from .kernel import InputData, KernelParams, json_value, sample_inputs
+from .exact import GpSample, SampleMethod, cholesky_factor, whiten
+from .kernel import InputData, KernelParams, gram, json_value, sample_inputs
 from .stats import (
     DEFAULT_ALPHA,
     ExperimentConfig,
     _critical_value,
     _format_value,
-    _Problem,
     cvm_test,
     draw,
     rejection_rate_experiment,
@@ -348,7 +347,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"the inputs from {source} are not the ones the sample was drawn at "
             "(inputs_sha256 differs); pass the sample's inputs with --inputs"
         )
-    z = _Problem(X, params).whiten(y)
+    z = whiten(y, cholesky_factor(gram(X, params, jitter=params.noise_variance), overwrite=True))
     if not np.all(np.isfinite(z)):
         raise UsageError(f"{args.sample} whitens to non-finite values: its entries overflow")
     print(json.dumps(dataclasses.asdict(cvm_test(z, args.alpha))))

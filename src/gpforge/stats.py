@@ -30,9 +30,7 @@ from . import _streams
 from .bounds import DEFAULT_EPSILON, DEFAULT_ETA, FidelitySpec
 from .ciq import ciq_sample
 from .exact import GpSample, SampleMethod, cholesky_factor, exact_sample, whiten
-from .kernel import (
-    GramMatrix, InputData, KernelParams, gram, json_object, json_value, sample_inputs
-)
+from .kernel import InputData, KernelParams, gram, json_object, json_value, sample_inputs
 from .precond import default_rank
 from .rff import rff_sample
 
@@ -63,7 +61,8 @@ class ExperimentConfig:
     fidelity_grid holds feature counts (rff) or iteration caps
     (ciq/pciq), either as absolute values or, when
     fidelity_as_fraction is set, as multiples of the method's
-    growth-law rescaler evaluated at each n. epsilon only enters
+    growth-law rescaler evaluated at each n; it is empty for exact,
+    which has no fidelity to vary. epsilon only enters
     through the default quadrature order of the ciq methods.
     """
 
@@ -84,8 +83,8 @@ class ExperimentConfig:
             raise ValueError("n_list must be nonempty")
         if any(n < 1 for n in self.n_list):
             raise ValueError(f"all sizes must be >= 1, got {self.n_list}")
-        if self.method is not SampleMethod.Exact and len(self.fidelity_grid) == 0:
-            raise ValueError("fidelity_grid must be nonempty for approximate methods")
+        if (self.method is SampleMethod.Exact) != (len(self.fidelity_grid) == 0):
+            raise ValueError("fidelity_grid must be empty for exact and nonempty for other methods")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         _critical_value(self.alpha)
@@ -144,14 +143,11 @@ class ExperimentReport:
     baseline cell that is not a grid cell: {"cell": i} or {"baseline": i},
     with "seconds", the wall time per stage (inputs, assemble, factor,
     draw, whiten, test) summed over the repeats the cell ran. The cells
-    at one n share each repeat's inputs, assemble and factor, and each
-    such stage's time is split evenly over the cells that ran the
-    repeat, so the entries sum to the time spent. The ciq or pciq cells
-    at one n also share each repeat's solve: it runs in the draw of the
-    first of them to draw (the lowest cell index still running), whose
-    draw seconds carry it, and the others' draw seconds are only the
-    lookup. Timings differ from run to run, so they stay out of cell
-    equality and the CSV.
+    at one n share each repeat's inputs, assemble and factor, and its
+    ciq or pciq cells also share the draw, one solve at all their caps.
+    A shared stage's time is split evenly over the cells that ran it,
+    so the entries sum to the time spent. Timings differ from run to
+    run, so they stay out of cell equality and the CSV.
     """
 
     config: ExperimentConfig
@@ -271,69 +267,16 @@ def draw(
     seed: int,
 ) -> GpSample:
     """Draw one sample with the sampler of `method` at a fidelity from
-    resolve_fidelity. A pciq sample records the preconditioner rank
-    reached, which may fall below fidelity.rank."""
-    return _Problem(X, params).draw(method, fidelity, seed)
-
-
-class _Problem:
-    """One repeat's problem: inputs and params, with the fully noisy Gram
-    matrix K_xi and its Cholesky factor L in one n x n buffer. The exact
-    draw is L u, a draw is whitened through L, and ciq and pciq draw on
-    K_xi through ciq.ciq_sample. L is factored at most once, in place of
-    K_xi; a K_xi() call after factor() assembles the matrix again. Not
-    safe to share between threads.
-
-    `shared` lists the fidelities of the cells that will draw on the
-    problem. The quadrature draws among them that differ only in J share
-    one solve: the first of them to draw at a seed runs ciq_sample at all
-    their caps at once, and each takes its own sample, bitwise the draw
-    it makes alone. A shared call that raises caches nothing, and its
-    error fails each cell that draws on it.
-    """
-
-    def __init__(
-        self, X: InputData, params: KernelParams, shared: typing.Iterable[FidelitySpec] = ()
-    ) -> None:
-        self.X = X
-        self.params = params
-        self._K_xi: GramMatrix | None = None
-        self._L: np.ndarray | None = None
-        self._caps: dict[FidelitySpec, set[int]] = {}  # the J caps of each shared solve
-        for fidelity in shared:
-            if fidelity.J is not None:
-                self._caps.setdefault(dataclasses.replace(fidelity, J=None), set()).add(fidelity.J)
-        self._samples: dict[tuple[FidelitySpec, int], GpSample] = {}
-
-    def K_xi(self) -> GramMatrix:
-        if self._K_xi is None:
-            self._K_xi = gram(self.X, self.params, jitter=self.params.noise_variance)
-        return self._K_xi
-
-    def factor(self) -> np.ndarray:
-        if self._L is None:
-            K_xi, self._K_xi = self.K_xi(), None  # L takes over its buffer
-            self._L = cholesky_factor(K_xi, overwrite=True)
-        return self._L
-
-    def whiten(self, y: np.ndarray) -> np.ndarray:
-        return whiten(y, self.factor())
-
-    def draw(self, method: SampleMethod, fidelity: FidelitySpec, seed: int) -> GpSample:
-        p = self.params
-        if method is SampleMethod.Exact:
-            return exact_sample(self.factor(), p, seed)
-        if method is SampleMethod.Rff:
-            return rff_sample(self.X, p, fidelity.D, seed)
-
-        def at(J: int | tuple[int, ...]) -> GpSample | tuple[GpSample, ...]:
-            return ciq_sample(self.K_xi(), p, fidelity.eta, fidelity.Q, J, seed, fidelity.rank)
-
-        caps = tuple(sorted(self._caps.get(dataclasses.replace(fidelity, J=None), set())))
-        if len(caps) > 1 and (fidelity, seed) not in self._samples:
-            for J, sample in zip(caps, at(caps)):
-                self._samples[dataclasses.replace(fidelity, J=J), seed] = sample
-        return self._samples.get((fidelity, seed)) or at(fidelity.J)
+    resolve_fidelity: rff from X alone, exact through the Cholesky factor
+    of K_xi = gram(X, params, jitter=noise_variance), ciq and pciq on
+    K_xi. A pciq sample records the preconditioner rank reached, which
+    may fall below fidelity.rank."""
+    if method is SampleMethod.Rff:
+        return rff_sample(X, params, fidelity.D, seed)
+    K_xi = gram(X, params, jitter=params.noise_variance)
+    if method is SampleMethod.Exact:
+        return exact_sample(cholesky_factor(K_xi, overwrite=True), params, seed)
+    return ciq_sample(K_xi, params, fidelity.eta, fidelity.Q, fidelity.J, seed, fidelity.rank)
 
 
 def _plan_cell(
@@ -379,21 +322,22 @@ def _run_repeats(
     start: int, stop: int,
 ) -> list[tuple[list[bool], dict[str, float], tuple[int, str] | None]]:
     """Generate, whiten and test repeats start..stop-1 of the planned cells
-    at one n, all on one problem per repeat.
+    at one n.
 
-    A repeat draws the inputs and assembles K_xi once, runs every rff,
-    ciq and pciq draw on them (the ciq or pciq cells through one shared
-    solve), factors once, makes the exact draw, and
-    whitens and tests every draw through the one factor. Returns, per
-    cell, whether each repeat it ran rejected, the seconds it spent per
-    stage, and its failure: None, or (repeat, message) for the first
-    repeat that raised, after which the cell runs no repeat. A draw,
-    whitening or test that raises fails only its own cell; a shared
-    stage (inputs, assemble, factor) that raises fails every cell still
-    running. A shared stage's seconds are split evenly over the cells
-    that ran the repeat.
+    A repeat draws the inputs X and assembles K_xi once, makes each rff
+    draw on X and every ciq or pciq draw through one ciq_sample call at
+    the sorted distinct caps of those cells (they differ only in J),
+    factors K_xi in place, makes the exact draw, and whitens and tests
+    every draw through the one factor. Returns, per cell, whether each
+    repeat it ran rejected, the seconds it spent per stage, and its
+    failure: None, or (repeat, message) for the first repeat that
+    raised, after which the cell runs no repeat. A stage that raises
+    fails the cells that share it: a draw, whitening or test only its
+    own cell, the quadrature call every ciq or pciq cell, and inputs,
+    assembly or factor every cell still running. A shared stage's
+    seconds are split evenly over the cells that ran it.
     """
-    params, methods = config.params, [SampleMethod(cell.method) for cell in cells]
+    params = config.params
     rejects: list[list[bool]] = [[] for _ in cells]
     seconds = [dict.fromkeys(_STAGES, 0.0) for _ in cells]
     failures: list[tuple[int, str] | None] = [None] * len(cells)
@@ -406,47 +350,55 @@ def _run_repeats(
             seconds[k][stage] += (now - last) / len(among)
         last = now
 
-    def run(k: int, r: int, stage: str, step: typing.Callable, *args) -> typing.Any:
-        """step(*args) for cell k at repeat r, or None after it raised."""
+    def run(among: list[int], r: int, stage: str, step: typing.Callable, *args) -> typing.Any:
+        """step(*args) for the cells `among` at repeat r, or None after it raised."""
         try:
             return step(*args)
-        except Exception as exc:  # any failure of a cell's own stage fails only that cell
-            failures[k] = (r, str(exc))
+        except Exception as exc:  # a stage the cells share fails only those cells
+            for k in among:
+                failures[k] = (r, str(exc))
             return None
         finally:
-            lap(stage, [k])
+            lap(stage, among)
 
     for r in range(start, stop):
         live = [k for k, failure in enumerate(failures) if failure is None]
         if not live:
             break
-        exact = [k for k in live if methods[k] is SampleMethod.Exact]
+        cells_of = {m: [k for k in live if cells[k].method == m.value] for m in SampleMethod}
+        quadrature = cells_of[SampleMethod.Ciq] + cells_of[SampleMethod.CiqPreconditioned]
         samples = {}
         try:
             seed = _streams.derive_seed(config.base_seed, *seed_path, r)
             X = sample_inputs(cells[0].n, params, seed)
-            problem = _Problem(X, params, [cells[k].ran for k in live])
             lap("inputs", live)
-            problem.K_xi()
+            K_xi = gram(X, params, jitter=params.noise_variance)
             lap("assemble", live)
-            # ciq and pciq lower K_xi's diagonal and put it back, so every
-            # approximate draw runs before the factor takes K_xi's buffer
-            for k in live:
-                if k not in exact:
-                    samples[k] = run(k, r, "draw", problem.draw, methods[k], cells[k].ran, seed)
-            problem.factor()
+            for k in cells_of[SampleMethod.Rff]:
+                samples[k] = run([k], r, "draw", rff_sample, X, params, cells[k].ran.D, seed)
+            if quadrature:
+                # ciq_sample puts K_xi's diagonal back, so the factor comes after it
+                f = cells[quadrature[0]].ran  # every quadrature cell shares eta, Q and rank
+                caps = tuple(sorted({cells[k].ran.J for k in quadrature}))
+                at = run(
+                    quadrature, r, "draw", ciq_sample, K_xi, params, f.eta, f.Q, caps, seed, f.rank
+                )
+                for k in quadrature:
+                    samples[k] = None if at is None else at[caps.index(cells[k].ran.J)]
+            L = cholesky_factor(K_xi, overwrite=True)  # L takes over K_xi's buffer
             lap("factor", live)
         except Exception as exc:  # a failed shared stage fails every cell still running
             for k in live:
                 failures[k] = failures[k] or (r, str(exc))
             break
-        for k in exact:  # the exact draw is L u
-            samples[k] = run(k, r, "draw", problem.draw, methods[k], cells[k].ran, seed)
+        for k in cells_of[SampleMethod.Exact]:  # the exact draw is L u
+            samples[k] = run([k], r, "draw", exact_sample, L, params, seed)
         for k, sample in samples.items():
-            z = None if sample is None else run(k, r, "whiten", problem.whiten, sample.y)
-            result = None if z is None else run(k, r, "test", cvm_test, z, config.alpha)
+            z = None if sample is None else run([k], r, "whiten", whiten, sample.y, L)
+            result = None if z is None else run([k], r, "test", cvm_test, z, config.alpha)
             if result is not None:
                 rejects[k].append(result.reject)
+        del K_xi, L  # the next repeat's K_xi is assembled with no other n x n buffer held
     return [(rejects[k], seconds[k], failures[k]) for k in range(len(cells))]
 
 

@@ -341,19 +341,19 @@ class TestCiqSample:
     @pytest.mark.parametrize("rank", [None, 4])
     def test_several_caps_give_the_draw_at_each(self, rank):
         """A tuple of caps gives one sample per cap, each bitwise the draw
-        at that J, and leaves K_xi fully noisy."""
+        at that J, and leaves K_xi fully noisy; so does a one-cap tuple."""
         K_xi = self.noisy_gram(40, seed=3)
         before = K_xi.entries.copy()
-        caps = (2, 9, 60)
-        samples = ciq_sample(K_xi, self.PARAMS, eta=0.5, Q=3, J=caps, seed=5, rank=rank)
-        np.testing.assert_array_equal(K_xi.entries, before)
-        assert len(samples) == len(caps)
-        for J, sample in zip(caps, samples):
-            alone = ciq_sample(K_xi, self.PARAMS, eta=0.5, Q=3, J=J, seed=5, rank=rank)
-            assert sample.fidelity == alone.fidelity and sample.method is alone.method
-            np.testing.assert_array_equal(sample.y, alone.y)
-            np.testing.assert_array_equal(sample.f, alone.f)
-            assert_same_solve((sample.y, sample.solver), (alone.y, alone.solver))
+        for caps in ((2, 9, 60), (9,)):
+            samples = ciq_sample(K_xi, self.PARAMS, eta=0.5, Q=3, J=caps, seed=5, rank=rank)
+            np.testing.assert_array_equal(K_xi.entries, before)
+            assert len(samples) == len(caps)
+            for J, sample in zip(caps, samples):
+                alone = ciq_sample(K_xi, self.PARAMS, eta=0.5, Q=3, J=J, seed=5, rank=rank)
+                assert sample.fidelity == alone.fidelity and sample.method is alone.method
+                np.testing.assert_array_equal(sample.y, alone.y)
+                np.testing.assert_array_equal(sample.f, alone.f)
+                assert_same_solve((sample.y, sample.solver), (alone.y, alone.solver))
 
     @pytest.mark.parametrize("J", [10**4, (3, 10**4)])
     def test_a_non_finite_solve_is_refused(self, J):

@@ -342,18 +342,18 @@ def test_finite_values_that_overflow_exit_two(tmp_path, capsys, reader):
 def test_verify_refuses_a_non_finite_factor(tmp_path, capsys, monkeypatch):
     """whiten does not scan the factor, so a non-finite one gives a
     non-finite z, which verify refuses as a usage error."""
-    import gpforge.stats
+    import gpforge.cli
 
     out = tmp_path / "s.csv"
     assert run(capsys, "sample", "--method", "exact", "--n", "8", "--output", str(out))[0] == 0
-    factor = gpforge.stats.cholesky_factor
+    factor = gpforge.cli.cholesky_factor
 
     def poisoned(K, overwrite=False):
         L = factor(K, overwrite)
         L[5, 1] = np.inf
         return L
 
-    monkeypatch.setattr(gpforge.stats, "cholesky_factor", poisoned)
+    monkeypatch.setattr(gpforge.cli, "cholesky_factor", poisoned)
     rc, _, err = run(capsys, "verify", "--sample", str(out))
     assert rc == 2 and "non-finite" in err
     assert_one_error_line(err)
@@ -626,6 +626,20 @@ def test_experiment_refuses_fewer_than_one_thread(tmp_path, capsys, threads):
     )
     assert rc == 2
     assert err.startswith("error:") and "--threads" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_refuses_a_grid_for_the_exact_method(tmp_path, capsys):
+    """An exact sweep has no fidelity to vary, so a --fidelity-grid is a
+    usage error, as a `sample` flag that its method does not use is."""
+    out = tmp_path / "e.csv"
+    rc, _, err = run(
+        capsys,
+        "experiment", "--method", "exact", "--n-list", "8", "--fidelity-grid", "4,8",
+        "--repeats", "2", "--output", str(out), "--threads", "1",
+    )
+    assert rc == 2 and "fidelity_grid" in err
+    assert_one_error_line(err)
     assert list(tmp_path.iterdir()) == []
 
 

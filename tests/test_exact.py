@@ -12,6 +12,7 @@ from gpforge import (
     SampleMethod,
     cholesky_factor,
     cvm_test,
+    draw,
     exact_sample,
     gram,
     sample_inputs,
@@ -19,7 +20,6 @@ from gpforge import (
 )
 from gpforge._streams import LATENT, stream
 from gpforge.kernel import GramMatrix
-from gpforge.stats import _Problem
 
 
 PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
@@ -198,17 +198,16 @@ class TestWhiten:
     )
     def test_whitening_inverts_the_factor(self, n, dim, lengthscale, noise_variance, seed):
         """whiten(L u, L) == u up to rounding, for L the factor of K; and so
-        does the harness's path, where the exact draw L u and its whitening
-        share one factor, written in place of K."""
+        does the harness's path, where the exact draw of draw() is whitened
+        through a factor written in place of K."""
         p = KernelParams(
             variance=1.0, lengthscale=lengthscale, noise_variance=noise_variance, dim=dim
         )
         X, K = noisy_gram(n, seed=seed, params=p)
         u = stream(seed, LATENT).standard_normal(n)
-        problem = _Problem(X, p)
-        y = problem.draw(SampleMethod.Exact, FidelitySpec(), seed).y
+        y = draw(SampleMethod.Exact, X, p, FidelitySpec(), seed).y
         L = cholesky_factor(K)
-        for z in (whiten(L @ u, L), problem.whiten(y)):
+        for z in (whiten(L @ u, L), whiten(y, cholesky_factor(K, overwrite=True))):
             assert float(np.max(np.abs(z - u))) <= 1e-9 * max(1.0, float(np.max(np.abs(u))))
 
 

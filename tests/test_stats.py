@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -195,19 +196,21 @@ def test_draw_dispatches_to_each_sampler():
         np.testing.assert_array_equal(sample.y, expected.y)
 
 
-def count_calls(monkeypatch, fn):
-    """Count the calls to fn through every gpforge module that binds it."""
+def record_calls(monkeypatch, fn):
+    """Log (args, result) of each call to fn through every gpforge module
+    that binds it."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(fn.__name__)
-        return fn(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((args, result))
+        return result
 
     for name, mod in list(sys.modules.items()):
         if name == "gpforge" or name.startswith("gpforge."):
             for attr, bound in list(vars(mod).items()):
                 if bound is fn:
-                    monkeypatch.setattr(mod, attr, counted)
+                    monkeypatch.setattr(mod, attr, recorded)
     return calls
 
 
@@ -224,8 +227,8 @@ def test_each_repeat_assembles_and_factors_once(monkeypatch, method, grid):
     """Each (n, repeat) makes one gram call and one Cholesky factorization,
     whatever the grid size: every cell at that n and its baseline share
     both, ciq and pciq included."""
-    grams = count_calls(monkeypatch, gpforge.kernel.gram)
-    factors = count_calls(monkeypatch, gpforge.exact.cholesky_factor)
+    grams = record_calls(monkeypatch, gpforge.kernel.gram)
+    factors = record_calls(monkeypatch, gpforge.exact.cholesky_factor)
     config = ExperimentConfig(
         method=method, n_list=(24, 32), params=PARAMS, fidelity_grid=grid, repeats=3
     )
@@ -240,8 +243,8 @@ def test_each_repeat_runs_one_solve_for_every_cap(monkeypatch, method):
     """The ciq or pciq cells at one n read their draws off one recurrence
     per (n, repeat), to the largest cap, and pciq builds one Nystrom
     factor per (n, repeat), where each cell used to run its own."""
-    solves = count_calls(monkeypatch, gpforge.ciq._solve_to_caps)
-    factors = count_calls(monkeypatch, gpforge.precond.nystrom_factor)
+    solves = record_calls(monkeypatch, gpforge.ciq._solve_to_caps)
+    factors = record_calls(monkeypatch, gpforge.precond.nystrom_factor)
     config = ExperimentConfig(
         method=method, n_list=(24, 32), params=PARAMS, fidelity_grid=(4, 8, 20), repeats=3
     )
@@ -252,37 +255,51 @@ def test_each_repeat_runs_one_solve_for_every_cap(monkeypatch, method):
 
 
 @pytest.mark.parametrize("method", [SampleMethod.Ciq, SampleMethod.CiqPreconditioned])
-def test_a_problem_sharing_caps_gives_each_seed_its_own_draws(method):
-    """Draws at several caps and seeds on one problem that shares its
-    solves are each bitwise the fresh draw at that cap and seed."""
-    X = sample_inputs(30, PARAMS, 4)
-    fidelities = [resolve_fidelity(method, 30, PARAMS, J=J) for J in (3, 9, 40)]
-    problem = stats_module._Problem(X, PARAMS, fidelities)
-    for seed in (4, 5, 4):
-        for fidelity in fidelities[::-1]:
-            y = problem.draw(method, fidelity, seed).y
-            np.testing.assert_array_equal(y, fresh_draw(method, X, fidelity, seed))
+def test_a_problem_sharing_caps_gives_each_seed_its_own_draws(monkeypatch, method):
+    """Each repeat of a sweep makes one quadrature call, at the sorted
+    distinct caps of its cells (9.0 and 9.2 both run J = 9), and its
+    sample at each cap is bitwise the fresh draw at that cap and the
+    repeat's seed."""
+    inputs = record_calls(monkeypatch, sample_inputs)
+    solves = record_calls(monkeypatch, ciq_sample)
+    config = ExperimentConfig(
+        method=method, n_list=(30,), params=PARAMS, fidelity_grid=(40.0, 3.0, 9.0, 9.2),
+        repeats=3,
+    )
+    report = rejection_rate_experiment(config)
+    monkeypatch.undo()
+    assert not any(cell.failed for cell in report.cells + report.baseline)
+    X_at = {args[2]: X for args, X in inputs}
+    assert len(X_at) == len(solves) == 3
+    for (_, _, _, _, caps, seed, _), samples in solves:
+        assert caps == (3, 9, 40)
+        for J, sample in zip(caps, samples):
+            fidelity = resolve_fidelity(method, 30, PARAMS, J=J)
+            y = fresh_draw(method, X_at[seed], fidelity, seed)
+            np.testing.assert_array_equal(sample.y, y)
 
 
 def test_a_shared_solve_that_raises_fails_each_quadrature_cell(monkeypatch):
-    """When the shared call raises, nothing is cached and each quadrature
-    draw raises its error: the draw alone would run the same checks on
-    the same numerics, so it is not retried."""
-    X = sample_inputs(20, PARAMS, 3)
-    fidelities = [resolve_fidelity(SampleMethod.Ciq, 20, PARAMS, J=J) for J in (4, 16)]
-    shared_ciq = stats_module.ciq_sample
+    """When a repeat's one quadrature call raises, every ciq cell fails
+    with its message, and the exact baseline is that of a clean run. The
+    call is not retried for each cell, whose own draw would run the same
+    checks on the same numerics: it is made once per (n, chunk)."""
+    config = ExperimentConfig(
+        method=SampleMethod.Ciq, n_list=(16, 24), params=PARAMS, fidelity_grid=(4.0, 8.0, 20.0),
+        repeats=3,
+    )
+    clean = rejection_rate_experiment(config)
+    calls = []
 
-    def failing_when_shared(K_xi, params, eta, Q, J, seed, rank=None):
-        if isinstance(J, tuple):
-            raise ValueError("shared solve failed")
-        return shared_ciq(K_xi, params, eta, Q, J, seed, rank)
+    def failing(*args):
+        calls.append(args)
+        raise ValueError("shared solve failed")
 
-    monkeypatch.setattr(stats_module, "ciq_sample", failing_when_shared)
-    problem = stats_module._Problem(X, PARAMS, fidelities)
-    for fidelity in fidelities:
-        with pytest.raises(ValueError, match="shared solve failed"):
-            problem.draw(SampleMethod.Ciq, fidelity, 3)
-    assert problem._samples == {}
+    monkeypatch.setattr(stats_module, "ciq_sample", failing)
+    report = rejection_rate_experiment(config, threads=1)
+    assert all(cell.failed and cell.message == "shared solve failed" for cell in report.cells)
+    assert report.baseline == clean.baseline
+    assert len(calls) == 2 * 3  # 2 sizes, in chunks of ceil(3 / 4) = 1 repeat
 
 
 def test_mcnemar_p_on_a_hand_built_table():
@@ -308,20 +325,20 @@ def fresh_draw(method, X, fidelity, seed):
     order=st.permutations([SampleMethod.Rff, SampleMethod.Ciq, SampleMethod.CiqPreconditioned]),
 )
 def test_draws_on_a_shared_problem_equal_fresh_draws(n, seed, order):
-    """On one problem, the rff, ciq and pciq draws in any order (a ciq
-    draw before a pciq draw included), then the factor and the exact draw,
-    are each bitwise equal to draw() on a fresh problem."""
-    from gpforge.stats import _Problem
-
+    """On one K_xi, the rff, ciq and pciq draws in any order (a ciq draw
+    before a pciq draw included), then the factor in place of K_xi and the
+    exact draw, are each bitwise equal to draw() on fresh inputs."""
     X = sample_inputs(n, PARAMS, seed)
-    problem = _Problem(X, PARAMS)
-    problem.K_xi()
-    for method in [*order, SampleMethod.Exact]:
-        fidelity = resolve_fidelity(method, n, PARAMS, D=8, J=12, rank=max(1, n // 4))
-        if method is SampleMethod.Exact:
-            problem.factor()
-        y = problem.draw(method, fidelity, seed).y
-        np.testing.assert_array_equal(y, fresh_draw(method, X, fidelity, seed))
+    K_xi = gram(X, PARAMS, jitter=PARAMS.noise_variance)
+    for method in order:
+        f = resolve_fidelity(method, n, PARAMS, D=8, J=12, rank=max(1, n // 4))
+        if method is SampleMethod.Rff:
+            y = rff_sample(X, PARAMS, f.D, seed).y
+        else:
+            y = ciq_sample(K_xi, PARAMS, f.eta, f.Q, (f.J,), seed, f.rank)[0].y
+        np.testing.assert_array_equal(y, fresh_draw(method, X, f, seed))
+    y = exact_sample(cholesky_factor(K_xi, overwrite=True), PARAMS, seed).y
+    np.testing.assert_array_equal(y, fresh_draw(SampleMethod.Exact, X, FidelitySpec(), seed))
 
 
 @pytest.mark.parametrize(
@@ -334,41 +351,40 @@ def test_draws_on_a_shared_problem_equal_fresh_draws(n, seed, order):
     ],
 )
 def test_each_cell_of_the_experiment_draws_as_a_fresh_problem(monkeypatch, method, grid):
-    """Every draw the experiment makes on a repeat's shared problem is
-    bitwise equal to draw() at the same inputs, fidelity and seed on a
-    fresh problem."""
-    shared_draw = stats_module._Problem.draw
-    draws = []
-
-    def recording_draw(self, method, fidelity, seed):
-        sample = shared_draw(self, method, fidelity, seed)
-        draws.append((method, self.X, fidelity, seed, sample.y.copy()))
-        return sample
-
-    monkeypatch.setattr(stats_module._Problem, "draw", recording_draw)
+    """Every draw the experiment makes on a repeat's shared inputs and K_xi
+    is bitwise equal to draw() at the same inputs, fidelity and seed."""
+    inputs = record_calls(monkeypatch, sample_inputs)
+    calls = {fn: record_calls(monkeypatch, fn) for fn in (rff_sample, ciq_sample, exact_sample)}
     config = ExperimentConfig(
         method=method, n_list=(12, 20), params=PARAMS, fidelity_grid=grid, repeats=3
     )
     rejection_rate_experiment(config)
+    monkeypatch.undo()
+    X_at = {args[2]: X for args, X in inputs}
+    draws = [(SampleMethod.Rff, FidelitySpec(D=D), seed, sample)
+             for (_, _, D, seed), sample in calls[rff_sample]]
+    draws += [(SampleMethod.Exact, FidelitySpec(), seed, sample)
+              for (_, _, seed), sample in calls[exact_sample]]
+    for (_, _, eta, Q, caps, seed, rank), samples in calls[ciq_sample]:
+        m = SampleMethod.Ciq if rank is None else SampleMethod.CiqPreconditioned
+        draws += [(m, FidelitySpec(eta=eta, Q=Q, J=J, rank=rank), seed, sample)
+                  for J, sample in zip(caps, samples)]
     assert len(draws) == 2 * 3 * (len(grid) + 1 if grid else 1)
-    monkeypatch.setattr(stats_module._Problem, "draw", shared_draw)
-    for method, X, fidelity, seed, y in draws:
-        np.testing.assert_array_equal(y, fresh_draw(method, X, fidelity, seed))
+    for method, fidelity, seed, sample in draws:
+        np.testing.assert_array_equal(sample.y, fresh_draw(method, X_at[seed], fidelity, seed))
 
 
 def test_quadrature_draw_leaves_the_shared_matrix_fully_noisy():
     """ciq and pciq draw on the repeat's K_xi buffer with a lowered
     diagonal and put the diagonal back, bit for bit, also when the draw
     raises: a bad eta before anything is written, a bad rank after."""
-    from gpforge.stats import _Problem
-
     X = sample_inputs(40, PARAMS, 6)
     expected = gram(X, PARAMS, jitter=PARAMS.noise_variance).entries
     for method in (SampleMethod.Ciq, SampleMethod.CiqPreconditioned):
-        problem = _Problem(X, PARAMS)
-        fidelity = resolve_fidelity(method, 40, PARAMS, Q=3, J=20, rank=4)
-        problem.draw(method, fidelity, 6)
-        np.testing.assert_array_equal(problem.K_xi().entries, expected)
+        K_xi = gram(X, PARAMS, jitter=PARAMS.noise_variance)
+        f = resolve_fidelity(method, 40, PARAMS, Q=3, J=20, rank=4)
+        ciq_sample(K_xi, PARAMS, f.eta, f.Q, (f.J,), 6, f.rank)
+        np.testing.assert_array_equal(K_xi.entries, expected)
     K_xi = gram(X, PARAMS, jitter=PARAMS.noise_variance)
     for eta, rank in ((1.5, None), (0.5, 0)):
         with pytest.raises(ValueError):
@@ -376,25 +392,28 @@ def test_quadrature_draw_leaves_the_shared_matrix_fully_noisy():
         np.testing.assert_array_equal(K_xi.entries, expected)
 
 
-@settings(max_examples=20, deadline=None)
-@given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
-def test_factor_takes_the_gram_buffer_and_k_xi_assembles_again(n, seed):
-    """The factor is written over K_xi's buffer, so no second n x n array
-    is held; a later K_xi() assembles the fully noisy matrix afresh."""
-    from gpforge.kernel import GramMatrix
-    from gpforge.stats import _Problem
-
-    X = sample_inputs(n, PARAMS, seed)
-    expected = gram(X, PARAMS, jitter=PARAMS.noise_variance).entries
-    problem = _Problem(X, PARAMS)
-    K_xi = problem.K_xi()
-    L = problem.factor()
-    assert np.shares_memory(L, K_xi.entries)
-    np.testing.assert_array_equal(L, gpforge.cholesky_factor(GramMatrix(expected)))
-    again = problem.K_xi()
-    assert not np.shares_memory(again.entries, L)
-    np.testing.assert_array_equal(again.entries, expected)
-    assert problem.factor() is L
+def test_a_sweep_holds_one_gram_buffer_per_repeat():
+    """The factor is written over K_xi's buffer, and a repeat lets its
+    buffer go before the next repeat assembles one: an in-process sweep
+    at n = 512 peaks below 1.5 times one n x n float64 array, for exact,
+    ciq and pciq. 8 repeats run in chunks of 2, so one call runs two."""
+    n = 512
+    for method, grid in (
+        (SampleMethod.Exact, ()),
+        (SampleMethod.Ciq, (4.0, 16.0, 64.0)),
+        (SampleMethod.CiqPreconditioned, (4.0, 16.0, 64.0)),
+    ):
+        config = ExperimentConfig(
+            method=method, n_list=(n,), params=PARAMS, fidelity_grid=grid, repeats=8
+        )
+        tracemalloc.start()
+        try:
+            report = rejection_rate_experiment(config, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(cell.failed for cell in report.cells + report.baseline)
+        assert peak < 1.5 * 8 * n * n, (method, peak / (8 * n * n))
 
 
 class TestExperimentConfig:
@@ -403,6 +422,10 @@ class TestExperimentConfig:
             ExperimentConfig(method=SampleMethod.Exact, n_list=(), params=PARAMS)
         with pytest.raises(ValueError):
             ExperimentConfig(method=SampleMethod.Rff, n_list=(16,), params=PARAMS)
+        with pytest.raises(ValueError, match="fidelity_grid"):
+            ExperimentConfig(
+                method=SampleMethod.Exact, n_list=(16,), params=PARAMS, fidelity_grid=(4.0,)
+            )
         with pytest.raises(ValueError):
             ExperimentConfig(
                 method=SampleMethod.Exact, n_list=(16,), params=PARAMS, alpha=0.2
@@ -480,27 +503,30 @@ _FUZZED_CONFIGS = _near_configs() | st.dictionaries(
     st.sampled_from(list(_CONFIG_VALUES)) | st.text(max_size=6), _JSON
 )
 
-_VALID_CONFIGS = st.builds(
-    ExperimentConfig,
-    method=st.sampled_from(SampleMethod),
-    n_list=st.lists(st.integers(1, 10**6), min_size=1, max_size=4).map(tuple),
-    params=st.builds(
-        KernelParams,
-        variance=st.integers(0, 10) | st.floats(0, 1e6),
-        lengthscale=st.floats(1e-3, 1e3),
-        noise_variance=st.floats(1e-6, 1e3),
-        dim=st.integers(1, 8),
-    ),
-    fidelity_grid=st.lists(
-        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4
-    ).map(tuple),
-    fidelity_as_fraction=st.booleans(),
-    eta=st.floats(0, 1, exclude_min=True, exclude_max=True),
-    alpha=st.sampled_from([0.1, 0.05, 0.01]),
-    epsilon=st.floats(0, 1, exclude_min=True),
-    repeats=st.integers(1, 10**6),
-    base_seed=st.integers(0, 2**63),
-    output=st.none() | st.text(max_size=8),
+_VALID_CONFIGS = st.sampled_from(SampleMethod).flatmap(
+    lambda method: st.builds(
+        ExperimentConfig,
+        method=st.just(method),
+        n_list=st.lists(st.integers(1, 10**6), min_size=1, max_size=4).map(tuple),
+        params=st.builds(
+            KernelParams,
+            variance=st.integers(0, 10) | st.floats(0, 1e6),
+            lengthscale=st.floats(1e-3, 1e3),
+            noise_variance=st.floats(1e-6, 1e3),
+            dim=st.integers(1, 8),
+        ),
+        # the exact method takes no grid
+        fidelity_grid=st.just(()) if method is SampleMethod.Exact else st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4
+        ).map(tuple),
+        fidelity_as_fraction=st.booleans(),
+        eta=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        alpha=st.sampled_from([0.1, 0.05, 0.01]),
+        epsilon=st.floats(0, 1, exclude_min=True),
+        repeats=st.integers(1, 10**6),
+        base_seed=st.integers(0, 2**63),
+        output=st.none() | st.text(max_size=8),
+    )
 )
 
 
@@ -639,14 +665,14 @@ class TestRejectionRateExperiment:
         repeats. That includes a grid value that does not resolve and a
         cell whose draws fail at some seeds: its message is that of its
         lowest failing repeat, as a serial loop meets it."""
-        draw = stats_module._Problem.draw
+        rff = stats_module.rff_sample
 
-        def failing_draw(self, method, fidelity, seed):
-            if fidelity.D == 16 and seed % 3 == 0:
+        def failing_rff(X, params, D, seed):
+            if D == 16 and seed % 3 == 0:
                 raise ValueError(f"no draw at seed {seed}")
-            return draw(self, method, fidelity, seed)
+            return rff(X, params, D, seed)
 
-        monkeypatch.setattr(stats_module._Problem, "draw", failing_draw)
+        monkeypatch.setattr(stats_module, "rff_sample", failing_rff)
         cfg = ExperimentConfig(
             method=SampleMethod.Rff,
             n_list=(16, 24),
@@ -676,14 +702,14 @@ class TestRejectionRateExperiment:
     def test_dead_worker_fails_its_cells_and_the_sweep_returns(self, monkeypatch):
         """A worker process that dies fails the cells whose chunks did not
         return; the sweep still returns a report that renders."""
-        draw = stats_module._Problem.draw
+        rff = stats_module.rff_sample
 
-        def dying_draw(self, method, fidelity, seed):
-            if fidelity.D == 16:
+        def dying_rff(X, params, D, seed):
+            if D == 16:
                 os._exit(3)
-            return draw(self, method, fidelity, seed)
+            return rff(X, params, D, seed)
 
-        monkeypatch.setattr(stats_module._Problem, "draw", dying_draw)
+        monkeypatch.setattr(stats_module, "rff_sample", dying_rff)
         cfg = ExperimentConfig(
             method=SampleMethod.Rff,
             n_list=(16,),
@@ -712,10 +738,10 @@ class TestRejectionRateExperiment:
         if not before:
             pytest.skip("no OpenBLAS is loaded")
 
-        def reporting_draw(self, method, fidelity, seed):
+        def reporting_draw(L, params, seed):
             raise ValueError(f"OpenBLAS threads {openblas_thread_counts()}")
 
-        monkeypatch.setattr(stats_module._Problem, "draw", reporting_draw)
+        monkeypatch.setattr(stats_module, "exact_sample", reporting_draw)
         cfg = ExperimentConfig(
             method=SampleMethod.Exact, n_list=(8,), params=PARAMS, repeats=4, base_seed=2
         )
@@ -728,7 +754,7 @@ class TestRejectionRateExperiment:
         cell at its n, and the baseline, keep the rate and McNemar p-value
         they have when nothing fails."""
         cfg = ExperimentConfig(
-            method=SampleMethod.Ciq,
+            method=SampleMethod.Rff,
             n_list=(16, 24),
             params=SHORT,
             fidelity_grid=(2.0, 4.0, 16.0),
@@ -736,14 +762,14 @@ class TestRejectionRateExperiment:
             base_seed=8,
         )
         clean = rejection_rate_experiment(cfg)
-        draw = stats_module._Problem.draw
+        rff = stats_module.rff_sample
 
-        def failing_draw(self, method, fidelity, seed):
-            if fidelity.J == 4 and seed % 4 == 1:
+        def failing_rff(X, params, D, seed):
+            if D == 4 and seed % 4 == 1:
                 raise ValueError(f"no draw at seed {seed}")
-            return draw(self, method, fidelity, seed)
+            return rff(X, params, D, seed)
 
-        monkeypatch.setattr(stats_module._Problem, "draw", failing_draw)
+        monkeypatch.setattr(stats_module, "rff_sample", failing_rff)
         for threads in (1, 2):
             report = rejection_rate_experiment(cfg, threads=threads)
             failed = [c for c in report.cells if c.failed]
