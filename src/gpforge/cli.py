@@ -275,12 +275,20 @@ def _build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _usable_cpus() -> int:
+    """The count of CPUs this process may run on where the platform reports it, else
+    the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
     """Run a rejection-rate experiment and write its CSV and JSON reports."""
     config = _build_experiment_config(args)
     if config.output is None:
         raise UsageError("config needs an output path (flag --output or config file)")
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
+    threads = args.threads if args.threads is not None else _usable_cpus()
     if threads < 1:
         raise UsageError(f"--threads must be >= 1, got {threads}")
     report = rejection_rate_experiment(config, threads=threads)
@@ -421,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--output", default=None)
     p_exp.add_argument(
         "--threads", type=int, default=None,
-        help="number of worker processes [CPU count]; results do not depend on it",
+        help="the most worker processes [usable CPUs]; a sweep too small to pay for them "
+        "runs in this process at its OpenBLAS thread count; results do not depend on it",
     )
     p_exp.set_defaults(func=cmd_experiment)
 

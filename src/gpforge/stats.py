@@ -440,6 +440,23 @@ def _one_blas_thread() -> None:
                 break
 
 
+# a sweep forks its workers only from this much estimated serial work, in
+# Cholesky flops; a pool's start costs 30-50 ms, which two workers earn back
+# from about 100 ms of serial work
+_POOL_MIN_WORK = 6e8
+
+
+def _repeat_work(cell: ExperimentCell) -> float:
+    """One repeat's estimated work for a planned cell, in Cholesky flops: n³/3
+    for the exact cell's factor, 4n² per Krylov iteration up to the cap J, and
+    48 per point and feature for rff; the weights are relative times measured
+    at n = 128 to 1024 on one BLAS thread."""
+    n, ran = cell.n, cell.ran
+    if ran.D is not None:
+        return 48 * n * ran.D
+    return n**3 / 3 if ran.J is None else 4 * n * n * ran.J
+
+
 def _run_tasks(tasks: list[tuple], workers: int) -> list:
     """_run_repeats(*task) for each task, in task order: on `workers` forked
     processes when workers > 1 and the platform can fork, else in this
@@ -480,10 +497,14 @@ def rejection_rate_experiment(
 
     The repeats at each n are split into contiguous chunks of
     ceil(repeats / (4 * threads)), so that chunks spread over the
-    workers; with threads > 1 the chunks run on that many forked worker
-    processes (in this process where fork is missing). A worker that
-    dies fails the cells whose chunks did not return, and the sweep
-    still returns its report. threads below 1 raises ValueError.
+    workers. threads caps the workers: a sweep whose estimated serial
+    work is too small to pay for a pool, and every sweep at threads=1,
+    runs its chunks in this process at the caller's OpenBLAS thread
+    count (also where fork is missing); a larger one runs them on
+    min(threads, chunks) forked worker processes with one OpenBLAS
+    thread each. The report does not depend on which path ran. A worker
+    that dies fails the cells whose chunks did not return, and the
+    sweep still returns its report. threads below 1 raises ValueError.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -508,10 +529,12 @@ def rejection_rate_experiment(
             tasks.append((config, planned, seed_path, start, min(start + size, repeats)))
             members.append(at_n)
 
+    work = repeats * sum(_repeat_work(cell) for _, cell in plans if not cell.failed)
+    workers = min(threads, len(tasks)) if work >= _POOL_MIN_WORK else 1
     rejects = [[] for _ in plans]  # each plan's rejections, in repeat order
     seconds = [dict.fromkeys(_STAGES, 0.0) for _ in plans]
     failures = [[] for _ in plans]
-    for task, at_n, outcome in zip(tasks, members, _run_tasks(tasks, min(threads, len(tasks)))):
+    for task, at_n, outcome in zip(tasks, members, _run_tasks(tasks, workers)):
         *_, start, stop = task
         died = ([], {}, (start, f"a worker process died running repeats {start}-{stop - 1}"))
         for k, (rejected, spent, failure) in zip(at_n, outcome or [died] * len(at_n)):

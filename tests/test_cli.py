@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import time
 import warnings
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gpforge import KernelParams, cvm_test, sample_inputs
+from gpforge import KernelParams, cli, cvm_test, sample_inputs
 from gpforge._streams import LATENT, stream
 from gpforge.cli import main
 
@@ -627,6 +628,27 @@ def test_experiment_refuses_fewer_than_one_thread(tmp_path, capsys, threads):
     assert rc == 2
     assert err.startswith("error:") and "--threads" in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_defaults_its_workers_to_the_usable_cpus(tmp_path, capsys, monkeypatch):
+    """Without --threads, the worker cap is the count of CPUs this process
+    may run on, not the machine's CPU count."""
+    caps = []
+
+    def recording_experiment(config, threads):
+        caps.append(threads)
+        return real_experiment(config, threads)
+
+    real_experiment = cli.rejection_rate_experiment
+    monkeypatch.setattr(cli, "rejection_rate_experiment", recording_experiment)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    out = tmp_path / "a.csv"
+    rc, _, _ = run(
+        capsys, "experiment", "--method", "exact", "--n-list", "8", "--repeats", "2",
+        "--output", str(out),
+    )
+    assert rc == 0 and caps == [1]
 
 
 def test_experiment_refuses_a_grid_for_the_exact_method(tmp_path, capsys):

@@ -596,6 +596,26 @@ def openblas_thread_counts():
     return counts
 
 
+# the fidelity grids of the benchmark's grid-n256 workload
+GRIDS_AT_256 = {"rff": (16.0, 256.0, 4096.0), "ciq": (4.0, 16.0, 64.0), "pciq": (4.0, 16.0, 64.0)}
+
+
+class NoPool(Exception):
+    pass
+
+
+def no_pool(*args, **kwargs):
+    """A stand-in for ProcessPoolExecutor that refuses to start."""
+    raise NoPool
+
+
+def rendered(report):
+    """A report's CSV and its JSON less timing."""
+    doc = json.loads(report_to_json(report))
+    del doc["timing"]
+    return "\n".join(report_csv_lines(report)), json.dumps(doc)
+
+
 class TestRejectionRateExperiment:
     def test_exact_sampler_rejected_at_nominal_rate(self):
         """A faithful sampler is rejected at roughly the test level;
@@ -645,7 +665,8 @@ class TestRejectionRateExperiment:
         assert a.cells == b.cells
         assert a.baseline == b.baseline
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)  # real workers, at any size
         cfg = ExperimentConfig(
             method=SampleMethod.Ciq,
             n_list=(24, 48),
@@ -673,6 +694,7 @@ class TestRejectionRateExperiment:
             return rff(X, params, D, seed)
 
         monkeypatch.setattr(stats_module, "rff_sample", failing_rff)
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)  # real workers, at any size
         cfg = ExperimentConfig(
             method=SampleMethod.Rff,
             n_list=(16, 24),
@@ -684,9 +706,8 @@ class TestRejectionRateExperiment:
         outputs = set()
         for workers in (1, 2, 4):
             report = rejection_rate_experiment(cfg, threads=workers)
-            doc = json.loads(report_to_json(report))
-            timing = doc.pop("timing")
-            outputs.add(("\n".join(report_csv_lines(report)), json.dumps(doc)))
+            timing = json.loads(report_to_json(report))["timing"]
+            outputs.add(rendered(report))
             assert [t.get("cell", t.get("baseline")) for t in timing] == [0, 1, 2, 3, 4, 5, 0, 1]
             for entry, cell in zip(timing, report.cells + report.baseline):
                 seconds = entry["seconds"]
@@ -710,6 +731,7 @@ class TestRejectionRateExperiment:
             return rff(X, params, D, seed)
 
         monkeypatch.setattr(stats_module, "rff_sample", dying_rff)
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)  # real workers, at any size
         cfg = ExperimentConfig(
             method=SampleMethod.Rff,
             n_list=(16,),
@@ -742,6 +764,7 @@ class TestRejectionRateExperiment:
             raise ValueError(f"OpenBLAS threads {openblas_thread_counts()}")
 
         monkeypatch.setattr(stats_module, "exact_sample", reporting_draw)
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)  # real workers, at any size
         cfg = ExperimentConfig(
             method=SampleMethod.Exact, n_list=(8,), params=PARAMS, repeats=4, base_seed=2
         )
@@ -770,6 +793,7 @@ class TestRejectionRateExperiment:
             return rff(X, params, D, seed)
 
         monkeypatch.setattr(stats_module, "rff_sample", failing_rff)
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)  # real workers, at any size
         for threads in (1, 2):
             report = rejection_rate_experiment(cfg, threads=threads)
             failed = [c for c in report.cells if c.failed]
@@ -787,6 +811,48 @@ class TestRejectionRateExperiment:
         )
         with pytest.raises(ValueError, match="threads"):
             rejection_rate_experiment(cfg, threads=threads)
+
+    def test_a_small_sweep_runs_in_this_process_with_the_same_report(self, monkeypatch):
+        """The benchmark's grid sweeps (n=256, 8 repeats) at threads=2 start
+        no pool, and their reports, less timing, equal those at threads=1."""
+        monkeypatch.setattr(stats_module, "ProcessPoolExecutor", no_pool)
+        for method, grid in GRIDS_AT_256.items():
+            cfg = ExperimentConfig(
+                method=SampleMethod(method), n_list=(256,), params=PARAMS,
+                fidelity_grid=grid, repeats=8, base_seed=101,
+            )
+            assert len({rendered(rejection_rate_experiment(cfg, threads=t)) for t in (1, 2)}) == 1
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="workers are forked"
+    )
+    @pytest.mark.parametrize("n, repeats", [(1024, 8), (256, 32)])
+    @pytest.mark.parametrize("method", sorted(GRIDS_AT_256))
+    def test_a_large_sweep_asks_for_a_pool(self, monkeypatch, method, n, repeats):
+        monkeypatch.setattr(stats_module, "ProcessPoolExecutor", no_pool)
+        cfg = ExperimentConfig(
+            method=SampleMethod(method), n_list=(n,), params=PARAMS,
+            fidelity_grid=GRIDS_AT_256[method], repeats=repeats, base_seed=1,
+        )
+        with pytest.raises(NoPool):
+            rejection_rate_experiment(cfg, threads=2)
+
+    def test_a_small_exact_sweep_runs_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(stats_module, "ProcessPoolExecutor", no_pool)
+        cfg = ExperimentConfig(
+            method=SampleMethod.Exact, n_list=(256,), params=PARAMS, repeats=32, base_seed=1
+        )
+        assert not rejection_rate_experiment(cfg, threads=2).cells[0].failed
+
+    def test_one_thread_never_forks(self, monkeypatch):
+        monkeypatch.setattr(stats_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)
+        cfg = ExperimentConfig(
+            method=SampleMethod.Rff, n_list=(16, 24), params=PARAMS,
+            fidelity_grid=(4.0, 16.0), repeats=8, base_seed=1,
+        )
+        report = rejection_rate_experiment(cfg, threads=1)
+        assert not any(c.failed for c in report.cells + report.baseline)
 
     def test_mcnemar_p_pairs_each_cell_with_its_baseline(self):
         """A grid cell's mcnemar_p is McNemar's exact test of its rejections
