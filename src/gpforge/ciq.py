@@ -294,11 +294,11 @@ def ciq_sample(
     as independent noise. gram pins the diagonal to variance + jitter,
     so the partially noisy K_eta is K_xi with its diagonal lowered to
     variance + eta * noise_variance: K_xi's diagonal is written during
-    the call and put back afterwards, also when the draw raises, so
-    K_xi must not be shared with another thread meanwhile. With a rank,
-    the draw is preconditioned by a Nystrom factor of that rank; the
-    sample's fidelity records the rank the factor reached, and the
-    shifted solve's report rides along.
+    the call and put back bit for bit as the caller left it, also when
+    the draw raises, so K_xi must not be shared with another thread
+    meanwhile. With a rank, the draw is preconditioned by a Nystrom
+    factor of that rank; the sample's fidelity records the rank the
+    factor reached, and the shifted solve's report rides along.
 
     J may also be a strictly increasing tuple of caps. The draw then
     builds one factor and runs one recurrence for them all, and returns
@@ -307,6 +307,7 @@ def ciq_sample(
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     entries = K_xi.entries
+    diagonal = entries.diagonal().copy()
     jitter = eta * params.noise_variance
     np.fill_diagonal(entries, params.variance + jitter)
     try:
@@ -316,7 +317,7 @@ def ciq_sample(
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite solve is refused below
             runs = ciq_sqrt_mv(K, u, Q, J, precond)
     finally:
-        np.fill_diagonal(entries, params.variance + params.noise_variance)
+        np.fill_diagonal(entries, diagonal)
     caps, runs = (J, runs) if isinstance(J, tuple) else ((J,), [runs])
     if any(not np.all(np.isfinite(report.residual_norms)) for _, report in runs):
         raise ValueError("the Krylov solve met a non-finite value: kernel values too large")

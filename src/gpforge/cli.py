@@ -133,7 +133,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             else:
                 spec = FidelitySpec.for_pciq(*budget, args.c1, args.c2, args.c_tilde)
             payload.update(delta_Q=spec.delta_Q, Q=spec.Q, J=spec.J)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # a size no float holds is out of range too
         raise UsageError(str(exc)) from exc
     print(json.dumps(payload, indent=None if args.json else 2))
     return 0
@@ -459,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -331,11 +331,12 @@ def _run_repeats(
     every draw through the one factor. Returns, per cell, whether each
     repeat it ran rejected, the seconds it spent per stage, and its
     failure: None, or (repeat, message) for the first repeat that
-    raised, after which the cell runs no repeat. A stage that raises
-    fails the cells that share it: a draw, whitening or test only its
-    own cell, the quadrature call every ciq or pciq cell, and inputs,
-    assembly or factor every cell still running. A shared stage's
-    seconds are split evenly over the cells that ran it.
+    raised, after which the cell runs no repeat. Each stage runs through
+    one runner that times it and, if it raises, fails the cells that
+    share it: a draw, whitening or test only its own cell, the quadrature
+    call every ciq or pciq cell, and inputs, assembly or factor every
+    cell still running, which ends the chunk. A shared stage's seconds
+    are split evenly over the cells that ran it.
     """
     params = config.params
     rejects: list[list[bool]] = [[] for _ in cells]
@@ -343,23 +344,20 @@ def _run_repeats(
     failures: list[tuple[int, str] | None] = [None] * len(cells)
     last = time.perf_counter()
 
-    def lap(stage: str, among: list[int]) -> None:
+    def run(among: list[int], r: int, stage: str, step: typing.Callable, *args, **kwargs):
+        """step(*args, **kwargs) for the cells `among` at repeat r, or None after it raised."""
         nonlocal last
-        now = time.perf_counter()
-        for k in among:
-            seconds[k][stage] += (now - last) / len(among)
-        last = now
-
-    def run(among: list[int], r: int, stage: str, step: typing.Callable, *args) -> typing.Any:
-        """step(*args) for the cells `among` at repeat r, or None after it raised."""
         try:
-            return step(*args)
+            return step(*args, **kwargs)
         except Exception as exc:  # a stage the cells share fails only those cells
             for k in among:
-                failures[k] = (r, str(exc))
+                failures[k] = failures[k] or (r, str(exc))  # a cell keeps an earlier failure
             return None
-        finally:
-            lap(stage, among)
+        finally:  # the time since the last stage ended is this one's
+            now = time.perf_counter()
+            for k in among:
+                seconds[k][stage] += (now - last) / len(among)
+            last = now
 
     for r in range(start, stop):
         live = [k for k, failure in enumerate(failures) if failure is None]
@@ -368,28 +366,26 @@ def _run_repeats(
         cells_of = {m: [k for k in live if cells[k].method == m.value] for m in SampleMethod}
         quadrature = cells_of[SampleMethod.Ciq] + cells_of[SampleMethod.CiqPreconditioned]
         samples = {}
-        try:
-            seed = _streams.derive_seed(config.base_seed, *seed_path, r)
-            X = sample_inputs(cells[0].n, params, seed)
-            lap("inputs", live)
-            K_xi = gram(X, params, jitter=params.noise_variance)
-            lap("assemble", live)
-            for k in cells_of[SampleMethod.Rff]:
-                samples[k] = run([k], r, "draw", rff_sample, X, params, cells[k].ran.D, seed)
-            if quadrature:
-                # ciq_sample puts K_xi's diagonal back, so the factor comes after it
-                f = cells[quadrature[0]].ran  # every quadrature cell shares eta, Q and rank
-                caps = tuple(sorted({cells[k].ran.J for k in quadrature}))
-                at = run(
-                    quadrature, r, "draw", ciq_sample, K_xi, params, f.eta, f.Q, caps, seed, f.rank
-                )
-                for k in quadrature:
-                    samples[k] = None if at is None else at[caps.index(cells[k].ran.J)]
-            L = cholesky_factor(K_xi, overwrite=True)  # L takes over K_xi's buffer
-            lap("factor", live)
-        except Exception as exc:  # a failed shared stage fails every cell still running
-            for k in live:
-                failures[k] = failures[k] or (r, str(exc))
+        seed = _streams.derive_seed(config.base_seed, *seed_path, r)
+        X = run(live, r, "inputs", sample_inputs, cells[0].n, params, seed)
+        K_xi = None if X is None else run(
+            live, r, "assemble", gram, X, params, jitter=params.noise_variance
+        )
+        if K_xi is None:  # a failed shared stage ends the chunk
+            break
+        for k in cells_of[SampleMethod.Rff]:
+            samples[k] = run([k], r, "draw", rff_sample, X, params, cells[k].ran.D, seed)
+        if quadrature:
+            # ciq_sample puts K_xi's diagonal back, so the factor comes after it
+            f = cells[quadrature[0]].ran  # every quadrature cell shares eta, Q and rank
+            caps = tuple(sorted({cells[k].ran.J for k in quadrature}))
+            at = run(
+                quadrature, r, "draw", ciq_sample, K_xi, params, f.eta, f.Q, caps, seed, f.rank
+            )
+            for k in quadrature:
+                samples[k] = None if at is None else at[caps.index(cells[k].ran.J)]
+        L = run(live, r, "factor", cholesky_factor, K_xi, overwrite=True)  # over K_xi's buffer
+        if L is None:
             break
         for k in cells_of[SampleMethod.Exact]:  # the exact draw is L u
             samples[k] = run([k], r, "draw", exact_sample, L, params, seed)
@@ -446,15 +442,16 @@ def _one_blas_thread() -> None:
 _POOL_MIN_WORK = 6e8
 
 
-def _repeat_work(cell: ExperimentCell) -> float:
+def _repeat_work(cell: ExperimentCell) -> int:
     """One repeat's estimated work for a planned cell, in Cholesky flops: n³/3
     for the exact cell's factor, 4n² per Krylov iteration up to the cap J, and
     48 per point and feature for rff; the weights are relative times measured
-    at n = 128 to 1024 on one BLAS thread."""
+    at n = 128 to 1024 on one BLAS thread. An int, which compares exactly
+    with _POOL_MIN_WORK even at sizes no float holds."""
     n, ran = cell.n, cell.ran
     if ran.D is not None:
         return 48 * n * ran.D
-    return n**3 / 3 if ran.J is None else 4 * n * n * ran.J
+    return n**3 // 3 if ran.J is None else 4 * n * n * ran.J
 
 
 def _run_tasks(tasks: list[tuple], workers: int) -> list:

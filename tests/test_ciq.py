@@ -355,6 +355,21 @@ class TestCiqSample:
                 np.testing.assert_array_equal(sample.f, alone.f)
                 assert_same_solve((sample.y, sample.solver), (alone.y, alone.solver))
 
+    @pytest.mark.parametrize("jitter", [0.0, 0.25, 0.5])
+    def test_the_diagonal_comes_back_as_the_caller_left_it(self, jitter):
+        """K's diagonal comes back bit for bit as it was, whatever jitter K
+        was assembled with (0, the noise variance or twice it), after a draw
+        and after one that raises once the diagonal is lowered (a rank
+        above n)."""
+        K = gram(sample_inputs(12, self.PARAMS, seed=4), self.PARAMS, jitter=jitter)
+        before = K.entries.copy()
+        ciq_sample(K, self.PARAMS, eta=0.5, Q=3, J=8, seed=1)
+        np.testing.assert_array_equal(K.entries, before)
+        with pytest.raises(ValueError, match="rank"):
+            ciq_sample(K, self.PARAMS, eta=0.5, Q=3, J=8, seed=1, rank=13)
+        np.testing.assert_array_equal(K.entries, before)
+        assert K.jitter == jitter
+
     @pytest.mark.parametrize("J", [10**4, (3, 10**4)])
     def test_a_non_finite_solve_is_refused(self, J):
         """The iterate after a NaN residual is garbage, so the draw raises

@@ -443,6 +443,32 @@ def test_running_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     assert "Unable to allocate" in err
 
 
+HUGE = str(10**400)  # an int no float holds
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bounds", "--method", "ciq", "--n", "100", "--eps", "0.1", "--dim", HUGE], 2),
+        (["sample", "--method", "rff", "--n", "10", "--features", HUGE, "--output", "{out}"], 1),
+        (["experiment", "--method", "exact", "--n-list", "8", "--repeats", HUGE,
+          "--output", "{out}"], 1),
+        (["experiment", "--method", "rff", "--fidelity-grid", "16", "--n-list", HUGE,
+          "--repeats", "2", "--output", "{out}"], 1),
+    ],
+    ids=["bounds-dim", "sample-features", "experiment-repeats", "experiment-n"],
+)
+def test_an_integer_flag_too_large_for_a_float_is_one_error_line(tmp_path, capsys, argv, code):
+    """An integer flag that overflows a float where it meets one (the
+    decay regime's root, the rff feature scale, the chunk size, the
+    growth-law rescaler) is one error line, never a traceback: exit 2 for
+    `bounds`, whose refusals are usage errors, and exit 1 for the rest."""
+    rc, _, err = run(capsys, *[a.format(out=tmp_path / "o.csv") for a in argv])
+    assert rc == code
+    assert_one_error_line(err)
+    assert "too large" in err
+
+
 def test_sample_pciq_sidecar_records_rank_reached(tmp_path, capsys):
     """Nine identical inputs give a rank-one kernel, so the Nystrom
     factor stops at rank 1 although floor(sqrt(9)) = 3 was requested;

@@ -302,6 +302,86 @@ def test_a_shared_solve_that_raises_fails_each_quadrature_cell(monkeypatch):
     assert len(calls) == 2 * 3  # 2 sizes, in chunks of ceil(3 / 4) = 1 repeat
 
 
+@pytest.mark.parametrize("stage", ["sample_inputs", "gram", "cholesky_factor"])
+def test_a_shared_stage_that_raises_fails_every_cell_at_its_size(monkeypatch, stage):
+    """When a repeat's inputs, assembly or factor raise at n = 12 only,
+    every cell at 12, its baseline included, fails with that message, and
+    the cells at 8 are those of a clean run. A failed shared stage ends
+    its chunk: each of the 4 chunks of 2 repeats at n = 12 runs the stages
+    up to the failing one once, and nothing after it."""
+    config = ExperimentConfig(
+        method=SampleMethod.Rff, n_list=(8, 12), params=PARAMS, fidelity_grid=(4.0, 16.0),
+        repeats=8,
+    )
+    clean = rejection_rate_experiment(config, threads=1)
+    log = []
+    for name in ("sample_inputs", "gram", "rff_sample", "cholesky_factor", "exact_sample"):
+
+        def logged(first, *args, name=name, real=getattr(stats_module, name), **kwargs):
+            log.append(name)
+            if name == stage and (first if name == "sample_inputs" else first.n) == 12:
+                raise ValueError(f"{stage} failed")
+            return real(first, *args, **kwargs)
+
+        monkeypatch.setattr(stats_module, name, logged)
+    report = rejection_rate_experiment(config, threads=1)
+    cells, clean_cells = report.cells + report.baseline, clean.cells + clean.baseline
+    at_12 = [c for c in cells if c.n == 12]
+    assert len(at_12) == 3
+    assert all(c.failed and c.message == f"{stage} failed" for c in at_12)
+    assert [c for c in cells if c.n == 8] == [c for c in clean_cells if c.n == 8]
+    repeat = [
+        "sample_inputs", "gram", "rff_sample", "rff_sample", "cholesky_factor", "exact_sample"
+    ]
+    assert log == repeat * 8 + repeat[: repeat.index(stage) + 1] * 4
+
+
+def test_a_cell_keeps_its_own_failure_when_the_factor_fails_after_it(monkeypatch):
+    """A cell whose draw raised keeps that message when the same repeat's
+    factor raises next; the other cells fail with the factor's."""
+    rff = stats_module.rff_sample
+
+    def failing_rff(X, params, D, seed):
+        if D == 4:
+            raise ValueError("no draw")
+        return rff(X, params, D, seed)
+
+    def failing_factor(*args, **kwargs):
+        raise ValueError("no factor")
+
+    monkeypatch.setattr(stats_module, "rff_sample", failing_rff)
+    monkeypatch.setattr(stats_module, "cholesky_factor", failing_factor)
+    config = ExperimentConfig(
+        method=SampleMethod.Rff, n_list=(8,), params=PARAMS, fidelity_grid=(4.0, 16.0), repeats=2
+    )
+    report = rejection_rate_experiment(config, threads=1)
+    assert [c.message for c in report.cells + report.baseline] == [
+        "no draw", "no factor", "no factor"
+    ]
+
+
+def test_a_chunk_whose_draws_all_fail_stops(monkeypatch):
+    """When every draw raises, each chunk makes one draw call per cell, at
+    its first repeat, and stops there: 8 repeats in chunks of 2 draw the
+    inputs 4 times, not 8."""
+    draws = []
+
+    def failing(*args):
+        draws.append(args)
+        raise ValueError("no draw")
+
+    monkeypatch.setattr(stats_module, "rff_sample", failing)
+    monkeypatch.setattr(stats_module, "exact_sample", failing)
+    inputs = record_calls(monkeypatch, sample_inputs)
+    config = ExperimentConfig(
+        method=SampleMethod.Rff, n_list=(8,), params=PARAMS, fidelity_grid=(4.0, 16.0), repeats=8
+    )
+    report = rejection_rate_experiment(config, threads=1)
+    assert all(c.failed and c.message == "no draw" for c in report.cells + report.baseline)
+    assert len(draws) == 4 * 3
+    assert len(inputs) == 4
+
+
 def test_mcnemar_p_on_a_hand_built_table():
     """8 repeats only the cell rejected, 1 only the baseline, 3 both, 4
     neither: the two-sided exact p-value is 2 (1 + 9) / 2^9 on the 9
@@ -853,6 +933,15 @@ class TestRejectionRateExperiment:
         )
         report = rejection_rate_experiment(cfg, threads=1)
         assert not any(c.failed for c in report.cells + report.baseline)
+
+    def test_a_size_no_float_holds_fails_its_cell(self):
+        """An exact sweep at n = 10^400, whose cost no float holds, still
+        plans and returns: its one cell fails with the input draw's message."""
+        cfg = ExperimentConfig(
+            method=SampleMethod.Exact, n_list=(10**400,), params=PARAMS, repeats=2, base_seed=1
+        )
+        cell = rejection_rate_experiment(cfg, threads=1).cells[0]
+        assert cell.failed and cell.message
 
     def test_mcnemar_p_pairs_each_cell_with_its_baseline(self):
         """A grid cell's mcnemar_p is McNemar's exact test of its rejections
