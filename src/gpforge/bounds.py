@@ -45,8 +45,9 @@ class FidelitySpec:
     D            number of random features (even)
     Q            number of quadrature nodes
     J            Krylov iteration cap
-    rank         Nystrom preconditioner rank; a sample records the rank
-                 the factor reached, which may fall below the request
+    rank         Nystrom preconditioner rank (>= 0); a sample records the
+                 rank the factor reached, which may fall below the request,
+                 down to 0 for a kernel whose signal rounds away in K_eta
     """
 
     epsilon: float | None = None
@@ -73,8 +74,8 @@ class FidelitySpec:
             raise ValueError(f"Q must be >= 1, got {self.Q}")
         if self.J is not None and self.J < 1:
             raise ValueError(f"J must be >= 1, got {self.J}")
-        if self.rank is not None and self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if self.rank is not None and self.rank < 0:
+            raise ValueError(f"rank must be >= 0, got {self.rank}")
 
     @classmethod
     def for_ciq(

@@ -96,9 +96,7 @@ def _msminres(
     breakdown = False
     states: list[tuple[np.ndarray, SolveReport]] = []
     for iterations in range(1, caps[-1] + 1):
-        p = A @ v
-        if iterations > 1:
-            p = p - beta * v_old
+        p = A @ v - beta * v_old  # beta is 0 and v_old zeros at the first iteration
         alpha = float(v @ p)
         p -= alpha * v
         beta_new = float(np.linalg.norm(p))

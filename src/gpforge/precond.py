@@ -74,8 +74,7 @@ def nystrom_factor(K: GramMatrix, k: int) -> NystromPreconditioner:
             break
         col = A[:, i].copy()
         col[i] -= K.jitter
-        if m > 0:
-            col -= F[:, :m] @ F[i, :m]
+        col -= F[:, :m] @ F[i, :m]  # zeros at m = 0
         F[:, m] = col / np.sqrt(d[i])
         d -= F[:, m] ** 2
     return NystromPreconditioner(factor=F, noise=K.jitter)

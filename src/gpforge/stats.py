@@ -530,7 +530,7 @@ def rejection_rate_experiment(
     workers = min(threads, len(tasks)) if work >= _POOL_MIN_WORK else 1
     rejects = [[] for _ in plans]  # each plan's rejections, in repeat order
     seconds = [dict.fromkeys(_STAGES, 0.0) for _ in plans]
-    failures = [[] for _ in plans]
+    failures = [None] * len(plans)  # each plan's first failure: chunks come in repeat order
     for task, at_n, outcome in zip(tasks, members, _run_tasks(tasks, workers)):
         *_, start, stop = task
         died = ([], {}, (start, f"a worker process died running repeats {start}-{stop - 1}"))
@@ -538,14 +538,12 @@ def rejection_rate_experiment(
             rejects[k] += rejected
             for stage, s in spent.items():
                 seconds[k][stage] += s
-            if failure is not None:
-                failures[k].append(failure)
+            failures[k] = failures[k] or failure
 
     cells, timing = [], []
     for k, (i, cell) in enumerate(plans):
-        if failures[k]:
-            # the lowest failing repeat's message, the one a serial loop meets
-            cell = dataclasses.replace(cell, failed=True, message=min(failures[k])[1])
+        if failures[k]:  # the lowest failing repeat's message, the one a serial loop meets
+            cell = dataclasses.replace(cell, failed=True, message=failures[k][1])
         elif not cell.failed:
             rate = sum(rejects[k]) / repeats
             ci_low, ci_high = binomial_ci(rate, repeats)

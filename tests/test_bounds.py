@@ -87,7 +87,7 @@ class TestFidelitySpec:
             {"D": 0},
             {"Q": 0},
             {"J": 0},
-            {"rank": 0},
+            {"rank": -1},
         ],
     )
     def test_field_validation(self, kwargs):
@@ -248,6 +248,27 @@ def test_value_that_is_not_finite_is_refused(value):
     bound came back inf: each is ValueError now."""
     with pytest.raises(ValueError, match="not a finite number"):
         value()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DecayModel(c1=1.0, c2=1.0, sigma_f=1.0, dim=0), "dim must be >= 1"),
+        (lambda: ciq_min_quadrature(8, 1.0, 0.25, 1e-3), r"eta in \(0, 1\)"),
+        (lambda: ciq_min_iterations(8, 0.5, 0.25, 0.1, 1e-3, 0), "Q must be >= 1"),
+        (lambda: precond_min_iterations(-1e-3, 8, 0.5, 0.25, 0.1, 1e-3), "lambda_kp1 must be >= 0"),
+        (
+            lambda: belkin_lambda_bound(1, 0, DecayModel(c1=1.0, c2=1.0, sigma_f=1.0, dim=2)),
+            "need n >= 1",
+        ),
+    ],
+    ids=["decay-dim-0", "Q-eta-1", "J-Q-0", "precond-J-negative-tail", "lambda-n-0"],
+)
+def test_an_argument_outside_its_domain_is_refused(call, message):
+    """Each calculator refuses an argument outside its domain by name,
+    before any arithmetic."""
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestPrecondMinIterations:

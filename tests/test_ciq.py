@@ -78,6 +78,11 @@ class TestBuildQuadrature:
             build_quadrature(2.0, 1.0, 4)
         with pytest.raises(ValueError):
             build_quadrature(0.0, 1.0, 4)
+
+    def test_envelope_needs_a_positive_jitter(self):
+        """The jitter floors the spectrum: at 0 there is no lower end."""
+        with pytest.raises(ValueError, match="positive diagonal jitter"):
+            spectral_envelope(GramMatrix(np.eye(2), jitter=0.0))
         with pytest.raises(ValueError):
             build_quadrature(1.0, 2.0, 0)
 

@@ -401,15 +401,28 @@ def test_inputs_far_from_the_origin_sample_and_verify(tmp_path, capsys, method):
     assert json.loads(stdout)["reject"] is False
 
 
-@pytest.mark.parametrize("method", ["exact", "ciq", "pciq"])
-def test_a_lengthscale_whose_square_overflows_samples_and_verifies(tmp_path, capsys, method):
-    """--lengthscale 1e300 squares past the float range; the kernel is
-    then the constant variance, and the sample is drawn and verifies."""
+@pytest.mark.parametrize(
+    "method, lengthscale",
+    [
+        pytest.param(method, lengthscale, id=method if lengthscale == "1e300" else None)
+        for lengthscale in ["1e300", "1e-160", "1e-300"]
+        for method in ["exact", "ciq", "pciq"]
+    ],
+)
+def test_a_lengthscale_whose_square_overflows_samples_and_verifies(
+    tmp_path, capsys, method, lengthscale
+):
+    """--lengthscale 1e300 squares past the float range, and 1e-160 and
+    1e-300 below its normal range; the kernel is then the constant
+    variance or white noise, and the sample is drawn and verifies with
+    no numpy warning."""
     out = tmp_path / "s.csv"
-    argv = ["sample", "--method", method, "--n", "10", "--lengthscale", "1e300"]
-    rc, _, err = run(capsys, *argv, "--output", str(out))
-    assert rc == 0, err
-    rc, stdout, err = run(capsys, "verify", "--sample", str(out))
+    argv = ["sample", "--method", method, "--n", "10", "--lengthscale", lengthscale]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run(capsys, *argv, "--output", str(out))
+        assert rc == 0, err
+        rc, stdout, err = run(capsys, "verify", "--sample", str(out))
     assert rc == 0, err
     assert json.loads(stdout)["reject"] is False
 
@@ -472,7 +485,9 @@ def test_an_integer_flag_too_large_for_a_float_is_one_error_line(tmp_path, capsy
 def test_sample_pciq_sidecar_records_rank_reached(tmp_path, capsys):
     """Nine identical inputs give a rank-one kernel, so the Nystrom
     factor stops at rank 1 although floor(sqrt(9)) = 3 was requested;
-    the sidecar shows the rank that ran. Other sidecars carry a null rank."""
+    at variance 1e-20 each diagonal entry of K_eta, variance + eta *
+    noise, rounds to eta * noise, so it stops at rank 0. The sidecar shows the rank that ran, and the
+    sample verifies. Other sidecars carry a null rank."""
     inputs = tmp_path / "same.csv"
     write_inputs(inputs, np.full((9, 2), 0.25))
     out = tmp_path / "p.csv"
@@ -481,6 +496,13 @@ def test_sample_pciq_sidecar_records_rank_reached(tmp_path, capsys):
     )
     assert rc == 0
     assert json.loads((tmp_path / "p.csv.json").read_text())["fidelity"]["rank"] == 1
+    argv = ["sample", "--method", "pciq", "--n", "10", "--variance", "1e-20"]
+    rc, _, err = run(capsys, *argv, "--output", str(out))
+    assert rc == 0, err
+    assert json.loads((tmp_path / "p.csv.json").read_text())["fidelity"]["rank"] == 0
+    rc, stdout, err = run(capsys, "verify", "--sample", str(out))
+    assert rc == 0, err
+    assert json.loads(stdout)["reject"] is False
     rc, _, _ = run(capsys, "sample", "--method", "ciq", "--n", "9", "--output", str(out))
     assert rc == 0
     assert json.loads((tmp_path / "p.csv.json").read_text())["fidelity"]["rank"] is None
@@ -825,17 +847,20 @@ def test_experiment_wrong_schema_version_exits_two(tmp_path, capsys):
         ("repeats", True),
         ("params", {"dim": 2.0}),
         ("sidecar dim", 2.0),
+        ("eta", 10**400),
     ],
     ids=[
         "fraction-string", "n_list-string", "n_list-float", "repeats-float",
         "base_seed-float", "repeats-bool", "params-dim-float", "sidecar-dim-float",
+        "eta-beyond-float",
     ],
 )
 def test_value_of_another_json_type_exits_two(tmp_path, capsys, key, value):
     """A config or sidecar value without its field's JSON type is refused,
     never coerced into a run it does not describe: "false" is not false,
-    "32" is not [3, 2], 32.9 is not 32 and true is not 1 repeat. A dim of
-    2.0 neither fails every experiment cell nor crashes verify."""
+    "32" is not [3, 2], 32.9 is not 32, true is not 1 repeat and a
+    400-digit integer is no float. A dim of 2.0 neither fails every
+    experiment cell nor crashes verify."""
     if key == "sidecar dim":
         out = tmp_path / "s.csv"
         assert run(capsys, "sample", "--method", "exact", "--n", "8", "--output", str(out))[0] == 0
@@ -852,6 +877,41 @@ def test_value_of_another_json_type_exits_two(tmp_path, capsys, key, value):
     rc, _, err = run(capsys, *argv)
     assert rc == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "sample without n or inputs", "config missing", "config not JSON", "config an array",
+        "experiment without output", "verify inputs of another size",
+    ],
+)
+def test_a_request_missing_what_it_needs_exits_two(tmp_path, capsys, case):
+    """A sample with neither --n nor --inputs, a config file that is
+    missing, not JSON or not an object, an experiment with nowhere to
+    write, and verify --inputs with another row count than the sample's
+    are each one error line at exit 2, with nothing on stdout."""
+    config, inputs, out = tmp_path / "cfg.json", tmp_path / "in.csv", tmp_path / "o.csv"
+    experiment = ["experiment", "--config", str(config), "--output", str(out)]
+    if case == "sample without n or inputs":
+        argv = ["sample", "--method", "exact", "--output", str(out)]
+    elif case == "config missing":
+        argv = experiment
+    elif case == "config not JSON":
+        config.write_text('{"schema_version": 1,')
+        argv = experiment
+    elif case == "config an array":
+        config.write_text('[{"schema_version": 1, "method": "exact", "n_list": [8]}]')
+        argv = experiment
+    elif case == "experiment without output":
+        argv = ["experiment", "--method", "exact", "--n-list", "8", "--repeats", "2"]
+    else:
+        write_inputs(inputs, np.random.default_rng(3).uniform(-1.0, 1.0, size=(12, 2)))
+        assert run(capsys, "sample", "--method", "exact", "--n", "8", "--output", str(out))[0] == 0
+        argv = ["verify", "--sample", str(out), "--inputs", str(inputs)]
+    rc, stdout, err = run(capsys, *argv)
+    assert rc == 2 and stdout == ""
+    assert_one_error_line(err)
 
 
 def test_experiment_failed_cell_warns_but_succeeds(tmp_path, capsys):

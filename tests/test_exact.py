@@ -212,6 +212,18 @@ class TestWhiten:
 
 
 class TestGpSampleValidation:
+    def test_rejects_a_y_that_is_not_a_vector(self):
+        from gpforge.exact import GpSample
+
+        with pytest.raises(ValueError, match="must be a vector"):
+            GpSample(
+                y=np.zeros((2, 1)),
+                method=SampleMethod.Exact,
+                params=PARAMS,
+                fidelity=FidelitySpec(),
+                seed=0,
+            )
+
     def test_rejects_non_finite_values(self):
         from gpforge import FidelitySpec
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -182,23 +183,49 @@ class TestGram:
                 assert K.entries[i, j] == pytest.approx(expect, abs=1e-12)
 
     def test_a_lengthscale_whose_square_overflows_gives_the_constant_kernel(self):
-        """l^2 raises OverflowError above about 1.3e154; every off-diagonal
+        """l^2 overflows to inf above about 1.3e154; every off-diagonal
         entry is then the variance, bitwise as at l = 1e150, where
-        exp(-d^2 / 2e300) rounds to 1."""
+        exp(-d^2 / 2e300) rounds to 1, and no warning is raised."""
         p = make_params(variance=1.7, lengthscale=1e300)
         X = sample_inputs(9, p, seed=3)
-        K = gram(X, p, jitter=0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = gram(X, p, jitter=0.25)
         expect = np.full((9, 9), 1.7)
         np.fill_diagonal(expect, 1.7 + 0.25)
         np.testing.assert_array_equal(K.entries, expect)
         near = gram(X, make_params(variance=1.7, lengthscale=1e150), jitter=0.25)
         np.testing.assert_array_equal(K.entries, near.entries)
 
+    @pytest.mark.parametrize("lengthscale", [1e-160, 1e-300])
+    def test_a_lengthscale_whose_square_underflows_gives_the_white_noise_kernel(self, lengthscale):
+        """l^2 is subnormal at 1e-160 and 0 at 1e-300: every off-diagonal
+        entry is then exp(-inf) = 0, bitwise as at l = 1e-150, where
+        exp(-d^2 / 2e-300) rounds to 0; the diagonal keeps variance +
+        jitter, and no warning is raised for the inf or the 0/0."""
+        p = make_params(variance=1.7, lengthscale=lengthscale)
+        X = sample_inputs(9, p, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = gram(X, p, jitter=0.25)
+        np.testing.assert_array_equal(K.entries, np.diag(np.full(9, 1.7 + 0.25)))
+        near = gram(X, make_params(variance=1.7, lengthscale=1e-150), jitter=0.25)
+        np.testing.assert_array_equal(K.entries, near.entries)
+
+    def test_rejects_a_dimension_mismatch(self):
+        X = sample_inputs(3, make_params(dim=3), seed=1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gram(X, make_params(dim=2))
+
     def test_rejects_negative_jitter(self):
         p = make_params()
         X = sample_inputs(3, p, seed=1)
         with pytest.raises(ValueError):
             gram(X, p, jitter=-0.1)
+
+    def test_input_data_type_rejects_points_that_are_not_a_matrix(self):
+        with pytest.raises(ValueError, match="2-d"):
+            InputData(points=np.zeros(4))
 
     def test_gram_matrix_type_rejects_nonsquare(self):
         with pytest.raises(ValueError):

@@ -150,6 +150,19 @@ class TestApplyInverse:
             scale = np.linalg.norm(a) * np.linalg.norm(b) / (noise + extra)
             assert abs(left - right) <= 1e-13 * scale
 
+    @pytest.mark.parametrize(
+        "factor, noise, message",
+        [
+            (np.zeros(3), 0.5, "2-d"),
+            (np.array([[1.0], [np.nan]]), 0.5, "non-finite"),
+            (np.zeros((3, 0)), 0.0, "noise must be > 0"),
+        ],
+        ids=["1-d", "nan", "noise-0"],
+    )
+    def test_preconditioner_refuses_a_malformed_factor_or_noise(self, factor, noise, message):
+        with pytest.raises(ValueError, match=message):
+            NystromPreconditioner(factor=factor, noise=noise)
+
     def test_nonpositive_total_shift_rejected(self):
         P = NystromPreconditioner(factor=np.zeros((2, 0)), noise=0.5)
         with pytest.raises(ValueError):

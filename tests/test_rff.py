@@ -378,6 +378,10 @@ class TestStreamingEquivalence:
         assert len(streamed) == 1
         assert streamed[0][0] == 0
 
+    def test_no_elements_is_refused(self):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            self.collect(0, 16, 5)
+
     def test_sink_failure_aborts_with_progress(self):
         def sink(i, v):
             if i == 3:

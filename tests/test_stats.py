@@ -254,6 +254,21 @@ def test_each_repeat_runs_one_solve_for_every_cap(monkeypatch, method):
     assert len(factors) == (2 * 3 if method is SampleMethod.CiqPreconditioned else 0)
 
 
+def test_a_pciq_cell_whose_factor_reaches_rank_zero_runs():
+    """At variance 1e-20 each diagonal entry of K_eta, variance + eta *
+    noise, rounds to eta * noise, so every repeat's Nystrom factor stops
+    at rank 0; the pciq cells are still measured, where each used to
+    fail with "rank must be >= 1, got 0"."""
+    params = dataclasses.replace(PARAMS, variance=1e-20)
+    config = ExperimentConfig(
+        method=SampleMethod.CiqPreconditioned, n_list=(64,), params=params,
+        fidelity_grid=(4, 20), repeats=3,
+    )
+    report = rejection_rate_experiment(config)
+    assert not any(cell.failed for cell in report.cells + report.baseline)
+    assert all(0.0 <= cell.rate <= 1.0 for cell in report.cells)
+
+
 @pytest.mark.parametrize("method", [SampleMethod.Ciq, SampleMethod.CiqPreconditioned])
 def test_a_problem_sharing_caps_gives_each_seed_its_own_draws(monkeypatch, method):
     """Each repeat of a sweep makes one quadrature call, at the sorted
@@ -500,6 +515,10 @@ class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(method=SampleMethod.Exact, n_list=(), params=PARAMS)
+        with pytest.raises(ValueError, match="sizes must be >= 1"):
+            ExperimentConfig(method=SampleMethod.Exact, n_list=(16, 0), params=PARAMS)
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            ExperimentConfig(method=SampleMethod.Exact, n_list=(16,), params=PARAMS, repeats=0)
         with pytest.raises(ValueError):
             ExperimentConfig(method=SampleMethod.Rff, n_list=(16,), params=PARAMS)
         with pytest.raises(ValueError, match="fidelity_grid"):
