@@ -12,10 +12,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-import numpy as np
-import scipy.linalg
-
-from .kernel import GramMatrix, KernelParams
+from .kernel import KernelParams
 from .precond import default_rank
 
 # the ciq noise split, and the total-variation budget of a default Q and J
@@ -303,27 +300,6 @@ def ciq_error_bound(
         2.0 * Q * math.log(5.0 * sqrt_k) * kappa * math.sqrt(lambda_n) / math.pi
     ) * ratio ** (J - 1)
     return eps_Q, B, eps_Q + B * norm_u
-
-
-def kl_gaussian_marginal(K_hat: GramMatrix, K: GramMatrix) -> float:
-    """KL divergence between zero-mean Gaussians with the given covariances.
-
-    Computes 0.5*(tr(K^-1 K_hat) - n + logdet K - logdet K_hat) via
-    Cholesky factorizations of both matrices; a matrix that is not
-    positive definite raises FactorizationError, a ValueError.
-    """
-    from .exact import cholesky_factor  # exact imports this module
-
-    n = K.n
-    if K_hat.n != n:
-        raise ValueError(f"size mismatch: {K_hat.n} vs {n}")
-    L = cholesky_factor(K)
-    L_hat = cholesky_factor(K_hat)
-    half = scipy.linalg.solve_triangular(L, L_hat, lower=True)
-    trace_term = float(np.sum(half * half))
-    logdet_K = 2.0 * float(np.sum(np.log(np.diag(L))))
-    logdet_K_hat = 2.0 * float(np.sum(np.log(np.diag(L_hat))))
-    return max(0.0, 0.5 * (trace_term - n + logdet_K - logdet_K_hat))
 
 
 def kl_frobenius_bound(E_frobenius: float, sigma_xi2: float) -> float:

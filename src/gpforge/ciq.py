@@ -10,7 +10,6 @@ Krylov recurrence (or per-shift preconditioned conjugate gradients).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +17,7 @@ import scipy.special
 
 from . import _streams
 from .bounds import FidelitySpec
-from .exact import GpSample, SampleMethod
+from .exact import GpSample, SampleMethod, SolveReport
 from .kernel import GramMatrix, KernelParams
 from .precond import NystromPreconditioner, apply_shifted_inverse, nystrom_factor
 
@@ -27,16 +26,6 @@ _BREAKDOWN_REL = 1e-14
 
 # relative residual at which a shifted solve stops
 _SOLVE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    """Outcome of a shifted-system solve."""
-
-    iterations_run: int
-    residual_norms: np.ndarray
-    converged: np.ndarray
-    breakdown: bool = False
 
 
 def build_quadrature(lambda_min: float, lambda_max: float, Q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .stats import (
     DEFAULT_ALPHA,
     ExperimentConfig,
     _critical_value,
-    _format_value,
+    _csv_lines,
     cvm_test,
     draw,
     rejection_rate_experiment,
@@ -179,11 +180,12 @@ def _inputs_sha256(X: InputData) -> str:
     return hashlib.sha256(np.ascontiguousarray(X.points).tobytes()).hexdigest()
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    Path(path).write_text("\n".join(_csv_lines(header, rows)) + "\n")
+
+
 def _write_sample(sample: GpSample, X: InputData, output: str) -> None:
-    lines = ["index,y"]
-    for i, value in enumerate(sample.y):
-        lines.append(f"{i},{_format_value(value)}")
-    Path(output).write_text("\n".join(lines) + "\n")
+    _write_csv(output, ["index", "y"], enumerate(sample.y))
     sidecar = {
         "method": sample.method.value,
         "params": sample.params.to_dict(),
@@ -315,10 +317,7 @@ def cmd_precond_sweep(args: argparse.Namespace) -> int:
     if not all(math.isfinite(ls) and ls > 0 for ls in lengthscales):
         raise UsageError(f"--lengthscales must be finite and > 0, got {args.lengthscales}")
     rows = precond_mod.effectiveness_sweep(n_list, lengthscales, params, seed)
-    lines = ["n,lengthscale,metric"]
-    for n, ls, metric in rows:
-        lines.append(f"{n},{_format_value(ls)},{_format_value(metric)}")
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    _write_csv(args.output, ["n", "lengthscale", "metric"], rows)
     return 0
 
 

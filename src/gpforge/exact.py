@@ -1,10 +1,12 @@
-"""Exact Cholesky sampling and the whitening transform used for verification."""
+"""The sample records and the exact reference: `GpSample` and the
+`SolveReport` of a quadrature draw's shifted solves, exact Cholesky
+sampling, the whitening transform used for verification, and the
+Gaussian KL divergence between two Gram matrices."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
@@ -12,9 +14,6 @@ import scipy.linalg
 from . import _streams
 from .bounds import FidelitySpec
 from .kernel import GramMatrix, KernelParams
-
-if TYPE_CHECKING:
-    from .ciq import SolveReport
 
 
 class SampleMethod(enum.Enum):
@@ -32,6 +31,16 @@ class FactorizationError(ValueError):
         super().__init__(
             f"matrix is not positive definite: pivot {pivot_index} is not positive"
         )
+
+
+@dataclass(frozen=True)
+class SolveReport:
+    """Outcome of a shifted-system solve."""
+
+    iterations_run: int
+    residual_norms: np.ndarray
+    converged: np.ndarray
+    breakdown: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,25 @@ def cholesky_factor(K: GramMatrix, overwrite: bool = False) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal factorization argument at position {-info}")
     return U.T
+
+
+def kl_gaussian_marginal(K_hat: GramMatrix, K: GramMatrix) -> float:
+    """KL divergence between zero-mean Gaussians with the given covariances.
+
+    Computes 0.5*(tr(K^-1 K_hat) - n + logdet K - logdet K_hat) via
+    Cholesky factorizations of both matrices; a matrix that is not
+    positive definite raises FactorizationError, a ValueError.
+    """
+    n = K.n
+    if K_hat.n != n:
+        raise ValueError(f"size mismatch: {K_hat.n} vs {n}")
+    L = cholesky_factor(K)
+    L_hat = cholesky_factor(K_hat)
+    half = scipy.linalg.solve_triangular(L, L_hat, lower=True)
+    trace_term = float(np.sum(half * half))
+    logdet_K = 2.0 * float(np.sum(np.log(np.diag(L))))
+    logdet_K_hat = 2.0 * float(np.sum(np.log(np.diag(L_hat))))
+    return max(0.0, 0.5 * (trace_term - n + logdet_K - logdet_K_hat))
 
 
 def exact_sample(L: np.ndarray, params: KernelParams, seed: int) -> GpSample:

@@ -11,6 +11,7 @@ with an additive diagonal jitter supplied at Gram-assembly time.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, fields
 from typing import Any
@@ -29,6 +30,8 @@ class KernelParams:
     lengthscale     kernel lengthscale (finite, > 0)
     noise_variance  observation noise variance (finite, > 0)
     dim             input dimensionality (integer >= 1)
+
+    A number no float holds, such as the int 10**400, is not finite here.
     """
 
     variance: float
@@ -37,11 +40,11 @@ class KernelParams:
     dim: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.variance < math.inf:
+        if not 0 <= self.variance <= sys.float_info.max:
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
-        if not 0 < self.lengthscale < math.inf:
+        if not 0 < self.lengthscale <= sys.float_info.max:
             raise ValueError(f"lengthscale must be finite and > 0, got {self.lengthscale}")
-        if not 0 < self.noise_variance < math.inf:
+        if not 0 < self.noise_variance <= sys.float_info.max:
             raise ValueError(f"noise_variance must be finite and > 0, got {self.noise_variance}")
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValueError(f"dim must be an integer >= 1, got {self.dim}")

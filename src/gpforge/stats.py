@@ -16,7 +16,7 @@ import multiprocessing
 import os
 import time
 import typing
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -577,12 +577,14 @@ def _format_value(value: float | int | str | None) -> str:
     return str(value) if isinstance(value, (int, str)) else format(value, ".17g")
 
 
+def _csv_lines(header: Sequence[str], rows: Iterable[Iterable]) -> list[str]:
+    """The header, then one CSV line per row, each value written by _format_value."""
+    return [",".join(header)] + [",".join(map(_format_value, row)) for row in rows]
+
+
 def report_csv_lines(report: ExperimentReport) -> list[str]:
     """Render a report as CSV lines (header first)."""
-    lines = [",".join(_CSV_COLUMNS)]
-    for cell in report.cells:
-        lines.append(",".join(_format_value(getattr(cell, k)) for k in _CSV_COLUMNS))
-    return lines
+    return _csv_lines(_CSV_COLUMNS, ([getattr(c, k) for k in _CSV_COLUMNS] for c in report.cells))
 
 
 def report_to_json(report: ExperimentReport) -> str:

@@ -59,8 +59,11 @@ class TestKernelParams:
     def test_rejects_infinity(self, field):
         """+inf passed every check: an infinite variance or noise variance
         reached the samplers (exit 1) and the calculators (a kappa_bound
-        of Infinity), and a config file's Infinity reaches from_dict."""
-        for value in (math.inf, -math.inf):
+        of Infinity), and a config file's Infinity reaches from_dict. An
+        int beyond the float range passed too, and gram or rff_sample then
+        raised an OverflowError or a TypeError; from_dict refuses it as
+        no JSON number, and the constructor as not finite."""
+        for value in (math.inf, -math.inf, 10**400, -10**400):
             with pytest.raises(ValueError, match=field):
                 make_params(**{field: value})
             with pytest.raises(ValueError, match=field):

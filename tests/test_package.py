@@ -1,6 +1,8 @@
 """The package namespace: what `gpforge` exports."""
 
 import ast
+import dataclasses
+import graphlib
 import importlib
 import importlib.util
 import inspect
@@ -8,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -121,3 +124,37 @@ def test_importing_the_package_loads_no_numerics_beyond_scipy_stats():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_dataclass_has_type_hints_that_resolve():
+    """A hint named only under `if TYPE_CHECKING:` is a string no module
+    binds at run time, so get_type_hints raises NameError on it."""
+    records = [getattr(gpforge, name) for name in gpforge.__all__]
+    records = [r for r in records if dataclasses.is_dataclass(r)]
+    assert records
+    for record in records:
+        typing.get_type_hints(record)
+
+
+def test_the_package_imports_in_one_direction():
+    """Every import in src/gpforge sits at module level, so none hides a
+    cycle inside a function or an `if TYPE_CHECKING:` block, and the graph
+    of the package's imports of its own modules has no cycle."""
+    src = Path(gpforge.__file__).resolve().parent
+    graph = {}
+    nested = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = set(map(id, tree.body))
+        graph[path.stem] = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if id(node) not in top:
+                nested.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                graph[path.stem].update(names)
+    assert nested == []
+    # static_order raises graphlib.CycleError, naming the modules of a cycle
+    list(graphlib.TopologicalSorter(graph).static_order())
