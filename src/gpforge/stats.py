@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.special
-import scipy.stats
 
 from . import _streams
 from .bounds import DEFAULT_EPSILON, DEFAULT_ETA, FidelitySpec
@@ -198,7 +197,9 @@ def binomial_ci(rate: float, N: int, level: float = 0.95) -> tuple[float, float]
         raise ValueError(f"rate must lie in [0, 1], got {rate}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    z = float(scipy.stats.norm.ppf(0.5 + level / 2.0))
+    if not 0 < level < 1:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    z = float(scipy.special.ndtri(0.5 + level / 2.0))
     p_width = min(max(rate, 0.5 / N), 1.0 - 0.5 / N)
     half = z * math.sqrt(p_width * (1.0 - p_width) / N)
     return max(0.0, rate - half), min(1.0, rate + half)
@@ -401,11 +402,12 @@ def _run_repeats(
 def _mcnemar_p(cell: list[bool], baseline: list[bool]) -> float:
     """McNemar's exact test of two paired rejection records: the two-sided
     binomial p-value of the repeats where exactly one of them rejected,
-    1.0 where there are none."""
+    1.0 where there are none. At p = 1/2 it is twice the lower tail
+    I_{1/2}(m - k, k + 1) at the smaller count k of m, capped at 1."""
     only_cell = sum(a and not b for a, b in zip(cell, baseline))
     only_baseline = sum(b and not a for a, b in zip(cell, baseline))
-    discordant = only_cell + only_baseline
-    return float(scipy.stats.binomtest(only_cell, discordant).pvalue) if discordant else 1.0
+    k, m = min(only_cell, only_baseline), only_cell + only_baseline
+    return min(1.0, 2.0 * float(scipy.special.betainc(m - k, k + 1, 0.5))) if m else 1.0
 
 
 def _one_blas_thread() -> None:

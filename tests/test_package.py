@@ -126,6 +126,23 @@ def test_importing_the_package_loads_no_numerics_beyond_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
+def test_importing_the_package_loads_no_scipy_stats():
+    """scipy.stats costs about half a second and 33 MB at start-up, and
+    every CLI call is a fresh process: a fresh `import gpforge,
+    gpforge.cli` must not load it."""
+    src = Path(gpforge.__file__).resolve().parents[1]
+    script = "import sys, gpforge, gpforge.cli\nprint('scipy.stats' in sys.modules)\n"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_every_exported_dataclass_has_type_hints_that_resolve():
     """A hint named only under `if TYPE_CHECKING:` is a string no module
     binds at run time, so get_type_hints raises NameError on it."""

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +129,21 @@ class TestBinomialCi:
             binomial_ci(1.1, 100)
         with pytest.raises(ValueError):
             binomial_ci(0.5, 0)
+
+    @pytest.mark.parametrize("level", [-0.2, 0.0, 1.0, 1.5, math.nan])
+    def test_level_outside_the_open_unit_interval_is_refused(self, level):
+        with pytest.raises(ValueError, match="level"):
+            binomial_ci(0.3, 100, level=level)
+
+    def test_equals_the_normal_quantile_formula_bitwise(self):
+        """The quantile comes from scipy.special.ndtri; the interval is
+        bit for bit the one scipy.stats.norm.ppf gives."""
+        for level in (0.5, 0.9, 0.95, 0.99, 0.9999):
+            z = float(scipy.stats.norm.ppf(0.5 + level / 2.0))
+            for rate, N in ((0.0, 8), (0.05, 1000), (0.3, 100), (0.5, 7), (0.999, 4096), (1.0, 200)):
+                p_width = min(max(rate, 0.5 / N), 1.0 - 0.5 / N)
+                half = z * math.sqrt(p_width * (1.0 - p_width) / N)
+                assert binomial_ci(rate, N, level) == (max(0.0, rate - half), min(1.0, rate + half))
 
 
 class TestFidelityRescaler:
@@ -407,6 +423,40 @@ def test_mcnemar_p_on_a_hand_built_table():
     assert stats_module._mcnemar_p(baseline, cell) == pytest.approx(20 / 512, rel=1e-12)
     assert stats_module._mcnemar_p(cell, cell) == 1.0
     assert stats_module._mcnemar_p([True] * 6, [False] * 6) == pytest.approx(2 / 64, rel=1e-12)
+
+
+def _table(only_cell, only_baseline, both=0):
+    """Paired rejection records with the given discordant and concordant counts."""
+    cell = [True] * only_cell + [False] * only_baseline + [True] * both
+    baseline = [False] * only_cell + [True] * only_baseline + [True] * both
+    return cell, baseline
+
+
+def test_mcnemar_p_agrees_with_scipy_binomtest():
+    """Every table with up to 60 discordant pairs, and a few large ones,
+    against scipy.stats.binomtest's two-sided exact p-value."""
+    tables = [(k, m - k) for m in range(1, 61) for k in range(m + 1)]
+    for m in (500, 1000, 3000):
+        tables += [(k, m - k) for k in (0, m // 10, m // 3, m // 2 - 1, m // 2 + 1)]
+    for only_cell, only_baseline in tables:
+        want = scipy.stats.binomtest(only_cell, only_cell + only_baseline).pvalue
+        got = stats_module._mcnemar_p(*_table(only_cell, only_baseline, both=2))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (only_cell, only_baseline)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    only_cell=st.integers(0, 500),
+    only_baseline=st.integers(0, 500),
+    both=st.integers(0, 3),
+)
+def test_mcnemar_p_is_symmetric_and_a_probability(only_cell, only_baseline, both):
+    """Swapping the cell and its baseline leaves the p-value unchanged,
+    and up to 1000 discordant pairs it is a positive probability."""
+    cell, baseline = _table(only_cell, only_baseline, both)
+    p = stats_module._mcnemar_p(cell, baseline)
+    assert p == stats_module._mcnemar_p(baseline, cell)
+    assert 0.0 < p <= 1.0
 
 
 def fresh_draw(method, X, fidelity, seed):
