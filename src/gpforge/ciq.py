@@ -5,6 +5,11 @@ a rational approximation: a handful of shifted linear systems, with
 shifts and weights derived from Jacobi elliptic functions on the
 spectral interval, solved jointly by a multi-shift minimum-residual
 Krylov recurrence (or per-shift preconditioned conjugate gradients).
+
+Every product with the kernel matrix reads its lower triangle only, as
+exact.cholesky_factor does, through BLAS dsymv. That product's bits
+depend on the BLAS thread count, so a quadrature draw is bitwise
+reproducible at a fixed thread count, as an exact draw is.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import scipy.special
 from . import _streams
 from .bounds import FidelitySpec
 from .exact import GpSample, SampleMethod, SolveReport
-from .kernel import GramMatrix, KernelParams
+from .kernel import GramMatrix, KernelParams, _symmetric_mv
 from .precond import NystromPreconditioner, apply_shifted_inverse, nystrom_factor
 
 # Krylov breakdown threshold, a few ulp above what float64 reaches
@@ -85,7 +90,7 @@ def _msminres(
     breakdown = False
     states: list[tuple[np.ndarray, SolveReport]] = []
     for iterations in range(1, caps[-1] + 1):
-        p = A @ v - beta * v_old  # beta is 0 and v_old zeros at the first iteration
+        p = _symmetric_mv(A, v) - beta * v_old  # beta is 0 and v_old zeros at the first iteration
         alpha = float(v @ p)
         p -= alpha * v
         beta_new = float(np.linalg.norm(p))
@@ -145,7 +150,7 @@ def _pcg_single(
     breakdown = False
     states: list[tuple[np.ndarray, float, int, bool]] = []
     for iterations in range(1, caps[-1] + 1):
-        Ap = A @ p + shift * p
+        Ap = _symmetric_mv(A, p) + shift * p
         curvature = float(p @ Ap)
         if not 0.0 < curvature < math.inf:  # indefinite, or a product overflowed
             breakdown = True
@@ -258,9 +263,11 @@ def ciq_sqrt_mv(
     shifts, weights = build_quadrature(lam_min, lam_max, Q)
     if isinstance(J, tuple):
         states = _solve_to_caps(K, shifts, u, J, _SOLVE_TOL, precond)
-        return [(K.entries @ (weights @ solutions), report) for solutions, report in states]
+        return [
+            (_symmetric_mv(K.entries, weights @ solutions), report) for solutions, report in states
+        ]
     solutions, report = shifted_solve(K, shifts, u, J, precond=precond)
-    return K.entries @ (weights @ solutions), report
+    return _symmetric_mv(K.entries, weights @ solutions), report
 
 
 def ciq_sample(
@@ -290,6 +297,8 @@ def ciq_sample(
     J may also be a strictly increasing tuple of caps. The draw then
     builds one factor and runs one recurrence for them all, and returns
     the sample at each cap, each bitwise equal to a draw at that J.
+    A draw keeps its bits at a fixed BLAS thread count: its Krylov
+    products read K_xi's lower triangle through dsymv.
     """
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")

@@ -185,7 +185,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable]) -> No
 
 
 def _write_sample(sample: GpSample, X: InputData, output: str) -> None:
-    _write_csv(output, ["index", "y"], enumerate(sample.y))
+    _write_csv(output, ["index", "y"], enumerate(sample.y.tolist()))
     sidecar = {
         "method": sample.method.value,
         "params": sample.params.to_dict(),

@@ -80,8 +80,9 @@ def cholesky_factor(K: GramMatrix, overwrite: bool = False) -> np.ndarray:
 
     LAPACK factors the transpose, K's lower triangle seen in Fortran
     order, as U^T U with U = L^T, so no transposing copy is made. With
-    overwrite, a C-contiguous K.entries is overwritten by L and no
-    longer holds the matrix; without it, K.entries is left unchanged.
+    overwrite, K.entries (C-contiguous, as GramMatrix keeps it) is
+    overwritten by L and no longer holds the matrix; without it,
+    K.entries is left unchanged.
     Raises FactorizationError naming the first failing pivot when the
     matrix is not positive definite.
     """

@@ -18,6 +18,7 @@ from typing import Any
 
 import numpy as np
 from scipy.spatial.distance import cdist
+import scipy.linalg  # after cdist: imported first, start-up took ~20 ms longer (BENCH_28.json)
 
 from . import _streams
 
@@ -121,7 +122,11 @@ class InputData:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Dense kernel matrix with the diagonal jitter it was assembled with."""
+    """Dense kernel matrix with the diagonal jitter it was assembled with.
+
+    entries is C-contiguous float64: any other layout is copied once here,
+    so that no product or factorization copies it again.
+    """
 
     entries: np.ndarray
     jitter: float = 0.0
@@ -130,11 +135,23 @@ class GramMatrix:
         ent = np.asarray(self.entries, dtype=np.float64)
         if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
             raise ValueError(f"entries must be square, got shape {ent.shape}")
-        object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "entries", np.ascontiguousarray(ent))
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+
+def _symmetric_mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v for a symmetric A, read from its lower triangle only, as
+    cholesky_factor reads it.
+
+    BLAS dsymv sees a C-contiguous A as its Fortran-ordered transpose,
+    whose upper triangle is A's lower one, so nothing is copied, and it
+    reads half the bytes of a GEMV over all of A. Unlike a GEMV's, its
+    bits depend on the BLAS thread count.
+    """
+    return scipy.linalg.blas.dsymv(1.0, A.T, v, lower=0)
 
 
 def _draw_inputs(g: np.random.Generator, n: int, dim: int) -> np.ndarray:

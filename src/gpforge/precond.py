@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _streams
-from .kernel import GramMatrix, KernelParams, gram, sample_inputs
+from .kernel import GramMatrix, KernelParams, _symmetric_mv, gram, sample_inputs
 
 # power-iteration steps behind each effectiveness_sweep metric
 _POWER_ITERATIONS = 40
@@ -115,8 +115,8 @@ def _power_iteration_deviation(K: np.ndarray, P: NystromPreconditioner, seed: in
     v /= np.linalg.norm(v)
     nr = 0.0
     for _ in range(_POWER_ITERATIONS):
-        Mv = v - apply_shifted_inverse(P, K @ v)
-        MtMv = Mv - K @ apply_shifted_inverse(P, Mv)
+        Mv = v - apply_shifted_inverse(P, _symmetric_mv(K, v))
+        MtMv = Mv - _symmetric_mv(K, apply_shifted_inverse(P, Mv))
         nr = float(np.linalg.norm(MtMv))
         if nr == 0.0:
             return 0.0

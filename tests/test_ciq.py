@@ -253,6 +253,26 @@ class TestShiftedSolve:
             assert_same_solve(state, shifted_solve(K, shifts, u, J=cap, tol=tol, precond=P))
 
     @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_only_the_lower_triangle_is_read(self, preconditioned):
+        """With K's strict upper triangle overwritten by NaN, msMINRES, PCG
+        (its factor built from the intact K) and the final product of the
+        square root give the bits they give on the intact K."""
+        p = KernelParams(variance=1.0, lengthscale=0.7, noise_variance=0.25, dim=2)
+        K = gram(sample_inputs(64, p, 6), p, jitter=0.125)
+        lower = GramMatrix(np.where(np.tri(64, dtype=bool), K.entries, np.nan), K.jitter)
+        u = stream(6, LATENT).standard_normal(64)
+        shifts, _ = build_quadrature(*spectral_envelope(K), 3)
+        caps = (2, 9, 60)
+        P = nystrom_factor(K, default_rank(64)) if preconditioned else None
+        for got, want in zip(
+            _solve_to_caps(lower, shifts, u, caps, 1e-10, P),
+            _solve_to_caps(K, shifts, u, caps, 1e-10, P),
+        ):
+            assert_same_solve(got, want)
+        for got, want in zip(ciq_sqrt_mv(lower, u, 3, caps, P), ciq_sqrt_mv(K, u, 3, caps, P)):
+            assert_same_solve(got, want)
+
+    @pytest.mark.parametrize("preconditioned", [False, True])
     def test_caps_below_at_and_past_convergence(self, preconditioned):
         """The caps straddle the iteration at which the solve converges."""
         p = KernelParams(variance=1.0, lengthscale=0.7, noise_variance=0.25, dim=2)
@@ -359,6 +379,17 @@ class TestCiqSample:
                 np.testing.assert_array_equal(sample.y, alone.y)
                 np.testing.assert_array_equal(sample.f, alone.f)
                 assert_same_solve((sample.y, sample.solver), (alone.y, alone.solver))
+
+    def test_fortran_ordered_entries_give_the_same_draw(self):
+        """A GramMatrix built from Fortran-ordered entries gives bitwise the
+        ciq and pciq draws of the C-ordered one."""
+        K_xi = self.noisy_gram(40, seed=7)
+        K_f = GramMatrix(np.asfortranarray(K_xi.entries), K_xi.jitter)
+        for rank in (None, default_rank(40)):
+            a = ciq_sample(K_xi, self.PARAMS, eta=0.5, Q=3, J=30, seed=8, rank=rank)
+            b = ciq_sample(K_f, self.PARAMS, eta=0.5, Q=3, J=30, seed=8, rank=rank)
+            np.testing.assert_array_equal(a.y, b.y)
+            assert_same_solve((a.y, a.solver), (b.y, b.solver))
 
     @pytest.mark.parametrize("jitter", [0.0, 0.25, 0.5])
     def test_the_diagonal_comes_back_as_the_caller_left_it(self, jitter):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gpforge
 from gpforge import KernelParams, cli, cvm_test, sample_inputs
 from gpforge._streams import LATENT, stream
 from gpforge.cli import main
@@ -95,6 +98,28 @@ def test_sample_exact_byte_identical(tmp_path, capsys):
     lines = out_a.read_text().splitlines()
     assert lines[0] == "index,y"
     assert len(lines) == 9
+
+
+def test_a_ciq_sample_keeps_its_bytes_at_a_fixed_blas_thread_count(tmp_path):
+    """Two ciq samples at one OpenBLAS thread are byte-identical. One at
+    two threads agrees to 1e-9 of the largest |y|: dsymv's bits may
+    depend on the thread count, so they are not compared."""
+    src = os.path.dirname(os.path.dirname(gpforge.__file__))
+
+    def sample(threads, name):
+        out = tmp_path / name
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": src}
+        env.pop("GPFORGE_SEED", None)
+        argv = ["sample", "--method", "ciq", "--n", "256", "--seed", "3", "--output", str(out)]
+        subprocess.run(
+            [sys.executable, "-m", "gpforge.cli", *argv], env=env, check=True, timeout=120
+        )
+        return out.read_bytes()
+
+    assert sample(1, "a.csv") == sample(1, "b.csv")
+    sample(2, "c.csv")
+    y1, y2 = (np.loadtxt(tmp_path / f, delimiter=",", skiprows=1)[:, 1] for f in ("a.csv", "c.csv"))
+    assert np.max(np.abs(y2 - y1)) <= 1e-9 * np.max(np.abs(y1))
 
 
 def test_sample_rff_odd_feature_count_exits_two(tmp_path, capsys):

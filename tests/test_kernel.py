@@ -234,6 +234,18 @@ class TestGram:
         with pytest.raises(ValueError):
             GramMatrix(entries=np.zeros((2, 3)), jitter=0.0)
 
+    def test_gram_matrix_holds_its_entries_in_c_order(self):
+        """C-ordered float64 entries are kept as given; any other layout is
+        copied once into C order."""
+        entries = np.arange(9.0).reshape(3, 3)
+        assert GramMatrix(entries).entries is entries
+        padded = np.zeros((6, 6))
+        padded[::2, ::2] = entries
+        for other in (np.asfortranarray(entries), padded[::2, ::2]):
+            held = GramMatrix(other).entries
+            assert held.flags.c_contiguous
+            np.testing.assert_array_equal(held, entries)
+
 
 class TestGramAssembly:
     """Accuracy, symmetry and memory of the assembly, at sizes on either
