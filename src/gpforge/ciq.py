@@ -32,6 +32,11 @@ _BREAKDOWN_REL = 1e-14
 # relative residual at which a shifted solve stops
 _SOLVE_TOL = 1e-10
 
+# iterations per point at which a shifted solve stops: its Krylov space stops
+# growing at n, and past that the recurrence only repeats itself. Above every
+# default J at the CLI's kernel values, whose J/n peaks at 11 (ciq at n = 1).
+_J_PER_POINT = 16
+
 
 def build_quadrature(lambda_min: float, lambda_max: float, Q: int) -> tuple[np.ndarray, np.ndarray]:
     """The shifts and weights of Q shifted-system nodes for the interval
@@ -69,9 +74,9 @@ def _msminres(
 
     Each shifted system keeps its own scalar Givens recurrence; one
     operator product per iteration serves all shifts. One recurrence
-    runs to the largest of the increasing caps and returns the state at
-    each: a cap past convergence or breakdown gets the final state, as a
-    solve capped there stops.
+    runs to the largest of the caps, which never decrease, and returns
+    the state at each: a cap past convergence or breakdown gets the
+    final state, as a solve capped there stops.
     """
     n = u.shape[0]
     nsh = shifts.shape[0]
@@ -136,7 +141,7 @@ def _pcg_single(
     tol: float,
 ) -> list[tuple[np.ndarray, float, int, bool]]:
     """Preconditioned conjugate gradients on (shift I + K) x = u: one
-    recurrence to the largest of the increasing caps, with the iterate,
+    recurrence to the largest of the non-decreasing caps, with the iterate,
     relative residual, iteration count and breakdown flag at each, as
     _msminres gives them."""
     n = u.shape[0]
@@ -182,7 +187,8 @@ def _solve_to_caps(
 ) -> list[tuple[np.ndarray, SolveReport]]:
     """shifted_solve's result at each of the strictly increasing caps, from
     one recurrence per system; each equals, bit for bit, a shifted_solve
-    capped there. A zero u is solved by zeros in 0 iterations at every cap."""
+    capped there. A cap above _J_PER_POINT * n runs to that limit. A zero u
+    is solved by zeros in 0 iterations at every cap."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError(f"u must be a vector, got shape {u.shape}")
@@ -190,6 +196,7 @@ def _solve_to_caps(
         raise ValueError(f"J must be >= 1, got {caps[0] if caps else caps}")
     if any(a >= b for a, b in zip(caps, caps[1:])):
         raise ValueError(f"iteration caps must increase strictly, got {caps}")
+    caps = tuple(min(cap, _J_PER_POINT * u.shape[0]) for cap in caps)  # ties only at the limit
     shift_arr = np.asarray(shifts, dtype=np.float64)
     if shift_arr.ndim != 1 or shift_arr.shape[0] < 1:
         raise ValueError("shifts must be a nonempty 1-d sequence")
@@ -228,7 +235,8 @@ def shifted_solve(
     shift gets an independent preconditioned conjugate-gradient solve.
     Returns the stacked solutions (one row per shift) and a report; on
     Krylov breakdown the current iterates come back with the report
-    flagging the event instead of raising.
+    flagging the event instead of raising. A J above _J_PER_POINT * n
+    runs to that limit.
     """
     return _solve_to_caps(K, shifts, u, (J,), tol, precond)[0]
 
@@ -297,6 +305,8 @@ def ciq_sample(
     J may also be a strictly increasing tuple of caps. The draw then
     builds one factor and runs one recurrence for them all, and returns
     the sample at each cap, each bitwise equal to a draw at that J.
+    A cap above _J_PER_POINT * n runs to that limit, and the sample
+    records the limit as its J.
     A draw keeps its bits at a fixed BLAS thread count: its Krylov
     products read K_xi's lower triangle through dsymv.
     """
@@ -326,7 +336,8 @@ def ciq_sample(
             method=SampleMethod.Ciq if precond is None else SampleMethod.CiqPreconditioned,
             params=params,
             fidelity=FidelitySpec(
-                eta=eta, Q=Q, J=cap, rank=None if precond is None else precond.factor.shape[1]
+                eta=eta, Q=Q, J=min(cap, _J_PER_POINT * K_xi.n),
+                rank=None if precond is None else precond.factor.shape[1],
             ),
             seed=seed,
             solver=report,

@@ -238,7 +238,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _write_sample(sample, X, args.output)
     if sample.solver is not None and not np.all(sample.solver.converged):
         print(
-            f"warning: the shifted solves did not converge in J={fidelity.J} iterations; "
+            f"warning: the shifted solves did not converge in J={sample.fidelity.J} iterations; "
             "the sample was written, and its sidecar has \"converged\": false",
             file=sys.stderr,
         )
@@ -429,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--threads", type=int, default=None,
         help="the most worker processes [usable CPUs]; a sweep too small to pay for them "
-        "runs in this process at its OpenBLAS thread count; results do not depend on it",
+        "runs in this process; either way OpenBLAS runs one thread while the sweep runs; "
+        "results do not depend on it",
     )
     p_exp.set_defaults(func=cmd_experiment)
 

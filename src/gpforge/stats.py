@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -410,71 +411,109 @@ def _mcnemar_p(cell: list[bool], baseline: list[bool]) -> float:
     return min(1.0, 2.0 * float(scipy.special.betainc(m - k, k + 1, 0.5))) if m else 1.0
 
 
-def _one_blas_thread() -> None:
-    """Set every OpenBLAS this process has loaded, as numpy and scipy do, to
-    one thread; its setter may carry a scipy_ prefix and a 64_ suffix. Each
-    worker runs this on start, so that workers that each run one BLAS thread
-    do not oversubscribe the cores. Does nothing where /proc/self/maps cannot
-    be read."""
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[typing.Callable, ...], ...]:
+    """The thread-count getter and setter of every OpenBLAS this process has
+    loaded, as numpy and scipy do, in path order, with its
+    blas_thread_shutdown_, or None where it has none; the getter's and
+    setter's names may carry a scipy_ prefix and a 64_ suffix. Found once,
+    by a scan of /proc/self/maps; none where it cannot be read."""
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
-        return
+        return ()
     paths = {
         fields[5] for fields in (line.split(maxsplit=5) for line in maps.splitlines())
         if len(fields) == 6 and "openblas" in os.path.basename(fields[5])
     }
+    controls = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)  # already loaded: this only takes another reference
         except OSError:
             continue
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                set_threads = getattr(lib, name)
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("scipy_", ""), ("", "")):
+            get_threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_threads = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get_threads is not None and set_threads is not None:
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
+                stop_helpers = getattr(lib, "blas_thread_shutdown_", None)
+                if stop_helpers is not None:
+                    stop_helpers.argtypes, stop_helpers.restype = [], ctypes.c_int
+                controls.append((get_threads, set_threads, stop_helpers))
                 break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> typing.Iterator[None]:
+    """Run the body with every loaded OpenBLAS at one thread, and put back
+    each one's count after it, also when it raises. Workers forked inside
+    inherit the one thread and start no helper threads. OpenBLAS stops its
+    helper threads before a fork, and a setter called while they are
+    stopped starts them, to spin for about 0.1 s beside the caller; so each
+    set here stops them again, and the library starts them at its next
+    multi-threaded call. No other thread of the caller may run BLAS
+    meanwhile."""
+    controls = _openblas_thread_controls()
+    counts = [get_threads() for get_threads, _, _ in controls]
+
+    def set_counts(to: list[int]) -> None:
+        for (_, set_threads, stop_helpers), count in zip(controls, to):
+            set_threads(count)
+            if stop_helpers is not None:
+                stop_helpers()
+
+    set_counts([1] * len(controls))
+    try:
+        yield
+    finally:
+        set_counts(counts)
 
 
 # a sweep forks its workers only from this much estimated serial work, in
-# Cholesky flops; a pool's start costs 30-50 ms, which two workers earn back
-# from about 100 ms of serial work
-_POOL_MIN_WORK = 6e8
+# Cholesky flops: measured at n = 128 to 512, two forked workers broke even
+# with one process between 2.2e8 and 4.7e8, 40-70 ms of serial work. A
+# worker starts its first task 6-9 ms after the fork and pays about 5 ms of
+# page faults in it.
+_POOL_MIN_WORK = 4e8
 
 
-def _repeat_work(cell: ExperimentCell) -> int:
-    """One repeat's estimated work for a planned cell, in Cholesky flops: n³/3
-    for the exact cell's factor, 4n² per Krylov iteration up to the cap J, and
-    48 per point and feature for rff; the weights are relative times measured
-    at n = 128 to 1024 on one BLAS thread. An int, which compares exactly
-    with _POOL_MIN_WORK even at sizes no float holds."""
-    n, ran = cell.n, cell.ran
-    if ran.D is not None:
-        return 48 * n * ran.D
-    return n**3 // 3 if ran.J is None else 4 * n * n * ran.J
+def _repeat_work(cells: Sequence[ExperimentCell]) -> int:
+    """One repeat's estimated work for the planned cells at one n, in Cholesky
+    flops: n³/3 for the factor they share, 48 per point and feature for each
+    rff cell, and 4n² per Krylov iteration up to the largest cap J of the ciq
+    and pciq cells, which share one recurrence; the weights are relative times
+    measured at n = 128 to 1024 on one BLAS thread. An int, which compares
+    exactly with _POOL_MIN_WORK even at sizes no float holds."""
+    n = cells[0].n  # every n plans its exact cell
+    features = sum(cell.ran.D for cell in cells if cell.ran.D is not None)
+    caps = [cell.ran.J for cell in cells if cell.ran.J is not None]
+    return n**3 // 3 + 48 * n * features + 4 * n * n * max(caps, default=0)
 
 
 def _run_tasks(tasks: list[tuple], workers: int) -> list:
-    """_run_repeats(*task) for each task, in task order: on `workers` forked
-    processes when workers > 1 and the platform can fork, else in this
-    process. A task whose worker died before it returned gives None."""
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_run_repeats(*task) for task in tasks]
-    # fork, not spawn: a spawned worker pays the numpy and scipy imports again.
-    # Fork copies only this thread, so a caller's other threads must not hold
-    # locks the workers take; gpforge itself starts none.
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, context, initializer=_one_blas_thread) as pool:
-        futures = []
-        with contextlib.suppress(BrokenProcessPool):  # a worker died while tasks were queued
-            for task in tasks:
-                futures.append(pool.submit(_run_repeats, *task))
-        outcomes = [
-            None if isinstance(f.exception(), BrokenProcessPool) else f.result()
-            for f in futures
-        ]
+    """_run_repeats(*task) for each task, in task order, with every OpenBLAS
+    at one thread: on `workers` forked processes when workers > 1 and the
+    platform can fork, else in this process. A task whose worker died
+    before it returned gives None."""
+    with _one_blas_thread():
+        if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            return [_run_repeats(*task) for task in tasks]
+        # fork, not spawn: a spawned worker pays the numpy and scipy imports again.
+        # Fork copies only this thread, so a caller's other threads must not hold
+        # locks the workers take; gpforge itself starts none.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, context) as pool:
+            futures = []
+            with contextlib.suppress(BrokenProcessPool):  # a worker died while tasks were queued
+                for task in tasks:
+                    futures.append(pool.submit(_run_repeats, *task))
+            outcomes = [
+                None if isinstance(f.exception(), BrokenProcessPool) else f.result()
+                for f in futures
+            ]
     return outcomes + [None] * (len(tasks) - len(futures))
 
 
@@ -498,10 +537,13 @@ def rejection_rate_experiment(
     ceil(repeats / (4 * threads)), so that chunks spread over the
     workers. threads caps the workers: a sweep whose estimated serial
     work is too small to pay for a pool, and every sweep at threads=1,
-    runs its chunks in this process at the caller's OpenBLAS thread
-    count (also where fork is missing); a larger one runs them on
-    min(threads, chunks) forked worker processes with one OpenBLAS
-    thread each. The report does not depend on which path ran. A worker
+    runs its chunks in this process (also where fork is missing); a
+    larger one runs them on min(threads, chunks) forked worker processes.
+    Either way every loaded OpenBLAS runs one thread while the chunks
+    run, and the caller's counts come back after, also on error; the
+    workers inherit the one thread, and no other thread of the caller
+    may run BLAS meanwhile. The report does not depend on which path
+    ran, nor on the caller's OpenBLAS thread count. A worker
     that dies fails the cells whose chunks did not return, and the
     sweep still returns its report. threads below 1 raises ValueError.
     """
@@ -520,15 +562,15 @@ def rejection_rate_experiment(
 
     repeats = config.repeats
     size = math.ceil(repeats / (4 * threads))
-    tasks, members = [], []  # members: the plans a task runs, in its order
+    tasks, members, work = [], [], 0  # members: the plans a task runs, in its order
     for i in range(len(config.n_list)):
         at_n = [k for k, (j, cell) in enumerate(plans) if j == i and not cell.failed]
         planned, seed_path = tuple(plans[k][1] for k in at_n), (0 if exact else _BASELINE_TAG, i)
         for start in range(0, repeats, size):
             tasks.append((config, planned, seed_path, start, min(start + size, repeats)))
             members.append(at_n)
+        work += repeats * _repeat_work(planned)
 
-    work = repeats * sum(_repeat_work(cell) for _, cell in plans if not cell.failed)
     workers = min(threads, len(tasks)) if work >= _POOL_MIN_WORK else 1
     rejects = [[] for _ in plans]  # each plan's rejections, in repeat order
     seconds = [dict.fromkeys(_STAGES, 0.0) for _ in plans]

@@ -2,6 +2,7 @@
 solver and the sampler built on them."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -16,8 +17,10 @@ from gpforge import (
     ciq_error_bound,
     ciq_sample,
     ciq_sqrt_mv,
+    draw,
     gram,
     nystrom_factor,
+    resolve_fidelity,
     sample_inputs,
     shifted_solve,
     spectral_envelope,
@@ -300,6 +303,22 @@ class TestShiftedSolve:
         for cap, state in zip((2, 3, 7, 50), states):
             assert_same_solve(state, shifted_solve(K, [0.1, 1.0], u, J=cap, tol=0.0))
 
+    def test_caps_past_the_iteration_limit_run_to_it(self):
+        """At variance 1e300 PCG stalls short of its tolerance at n=10; every
+        cap above 16 iterations per point runs to that limit of 160, and the
+        states at caps straddling it equal fresh solves capped there."""
+        p = KernelParams(variance=1e300, lengthscale=1.0, noise_variance=0.25, dim=2)
+        K = gram(sample_inputs(10, p, 1), p, jitter=0.125)
+        P = nystrom_factor(K, 3)
+        shifts, _ = build_quadrature(*spectral_envelope(K), 2)
+        caps = (8, 159, 160, 161, 10**80)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = _solve_to_caps(K, shifts, np.ones(10), caps, 1e-10, P)
+            for cap, state in zip(caps, states):
+                assert_same_solve(state, shifted_solve(K, shifts, np.ones(10), J=cap, precond=P))
+        assert [r.iterations_run for _, r in states] == [8, 159, 160, 160, 160]
+        assert not any(r.converged.any() or r.breakdown for _, r in states)
+
     def test_caps_must_increase_from_one(self):
         for caps in ((), (0, 4), (4, 4), (8, 4)):
             with pytest.raises(ValueError):
@@ -415,6 +434,39 @@ class TestCiqSample:
         with pytest.raises(ValueError, match="non-finite"):
             ciq_sample(K_xi, p, eta=0.5, Q=3, J=J, seed=4)
         np.testing.assert_array_equal(np.diag(K_xi.entries), np.full(10, 1e300 + 0.25))
+
+    @pytest.mark.parametrize("method", [SampleMethod.Ciq, SampleMethod.CiqPreconditioned])
+    def test_a_draw_at_variance_1e300_and_its_default_J_returns_within_a_second(self, method):
+        """ciq's first product overflows and the draw is refused; pciq's
+        default J is about 5.4e76, and its draw stops at the 160 iterations
+        16 per point allow, unconverged, and records that J."""
+        p = KernelParams(variance=1e300, lengthscale=1.0, noise_variance=0.25, dim=2)
+        fidelity = resolve_fidelity(method, 10, p)
+        X = sample_inputs(10, p, seed=0)
+        start = time.monotonic()
+        if method is SampleMethod.Ciq:
+            with pytest.raises(ValueError, match="non-finite"):
+                draw(method, X, p, fidelity, seed=0)
+        else:
+            sample = draw(method, X, p, fidelity, seed=0)
+            assert fidelity.J > 10**76 and sample.fidelity.J == 160
+            assert sample.solver.iterations_run == 160 and not sample.solver.converged.any()
+        assert time.monotonic() - start < 1.0
+
+    def test_caps_past_the_limit_give_the_draw_at_the_limit(self):
+        """A tuple of caps that passes 16 iterations per point gives, at each
+        cap past it, bitwise the draw at the limit, which records the limit
+        as its J."""
+        p = KernelParams(variance=1e300, lengthscale=1.0, noise_variance=0.25, dim=2)
+        K_xi = gram(sample_inputs(10, p, 0), p, jitter=p.noise_variance)
+        caps = (100, 160, 161, 10**80)
+        samples = ciq_sample(K_xi, p, eta=0.5, Q=2, J=caps, seed=3, rank=3)
+        assert [s.fidelity.J for s in samples] == [100, 160, 160, 160]
+        for cap, sample in zip(caps, samples):
+            alone = ciq_sample(K_xi, p, eta=0.5, Q=2, J=min(cap, 160), seed=3, rank=3)
+            assert sample.fidelity == alone.fidelity
+            np.testing.assert_array_equal(sample.y, alone.y)
+            assert_same_solve((sample.y, sample.solver), (alone.y, alone.solver))
 
     def test_eta_domain(self):
         K_xi = self.noisy_gram(4, seed=2)

@@ -465,6 +465,32 @@ def test_a_solve_that_meets_a_non_finite_value_exits_one(tmp_path, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("method", ["ciq", "pciq"])
+def test_a_draw_at_variance_1e300_returns_within_a_second(tmp_path, capsys, method):
+    """At the default J both samplers return within a second with at most
+    one stderr line and no traceback: ciq refuses its non-finite solve, and
+    pciq, whose default J is about 5.4e76, writes its sample unconverged
+    after the 160 iterations that 16 per point allow, and records that J."""
+    out = tmp_path / "p.csv"
+    start = time.monotonic()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run(
+            capsys, "sample", "--method", method, "--n", "10", "--variance", "1e300",
+            "--output", str(out),
+        )
+    assert time.monotonic() - start < 1.0
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    if method == "ciq":
+        assert rc == 1 and "non-finite" in err
+        return
+    sidecar = json.loads((tmp_path / "p.csv.json").read_text())
+    assert rc == 0 and err.startswith("warning: the shifted solves did not converge in J=160 ")
+    assert sidecar["fidelity"]["J"] == 160 and sidecar["solver"]["iterations"] == 160
+    assert sidecar["solver"]["converged"] is False
+    assert len(out.read_text().splitlines()) == 11
+
+
 def test_running_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     """A MemoryError, as numpy raises for a Gram matrix past the machine's
     memory, is one error line at exit 1; no allocation is attempted."""

@@ -1,6 +1,7 @@
 """Statistical verification layer: the normality test, binomial
 intervals and the rejection-rate experiment harness."""
 
+import contextlib
 import ctypes
 import dataclasses
 import json
@@ -8,6 +9,7 @@ import math
 import multiprocessing
 import os
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -727,22 +729,46 @@ class TestExperimentConfigFromDict:
         assert ExperimentConfig.from_dict(echo) == dataclasses.replace(config, output=None)
 
 
-def openblas_thread_counts():
-    """The thread count of each OpenBLAS this process has loaded, in path
-    order; its getter may carry a scipy_ prefix and a 64_ suffix."""
+def openblas_controls():
+    """The thread-count getter and setter of each OpenBLAS this process has
+    loaded, in path order; their names may carry a scipy_ prefix and a 64_
+    suffix."""
     maps = Path("/proc/self/maps").read_text()
     paths = {line.split(maxsplit=5)[-1] for line in maps.splitlines()}
-    counts = []
+    controls = []
     for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                get_threads = getattr(lib, name)
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("scipy_", ""), ("", "")):
+            if hasattr(lib, f"{prefix}openblas_get_num_threads{suffix}"):
+                get_threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+                set_threads = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                counts.append(get_threads())
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                controls.append((get_threads, set_threads))
                 break
-    return counts
+    return controls
+
+
+def openblas_thread_counts():
+    """The thread count of each OpenBLAS this process has loaded, in path order."""
+    return [get_threads() for get_threads, _ in openblas_controls()]
+
+
+@contextlib.contextmanager
+def openblas_threads(count):
+    """Every loaded OpenBLAS at `count` threads for the body, each one's
+    count put back after it; skips the test where no OpenBLAS is loaded."""
+    controls = openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS is loaded")
+    before = [get_threads() for get_threads, _ in controls]
+    for _, set_threads in controls:
+        set_threads(count)
+    try:
+        yield
+    finally:
+        for (_, set_threads), was in zip(controls, before):
+            set_threads(was)
 
 
 # the fidelity grids of the benchmark's grid-n256 workload
@@ -921,6 +947,87 @@ class TestRejectionRateExperiment:
         assert report.cells[0].message == f"OpenBLAS threads {[1] * len(before)}"
         assert openblas_thread_counts() == before
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods() or not Path("/proc").is_dir(),
+        reason="workers are forked, and their threads are counted in /proc",
+    )
+    def test_a_worker_inherits_one_blas_thread_and_starts_no_other(self, monkeypatch):
+        """With the caller at two OpenBLAS threads, a forked worker runs one
+        OS thread and every OpenBLAS in it reports one thread: the caller
+        pins them before the fork, and the worker sets no count itself.
+        Putting back the caller's count leaves no OpenBLAS helper thread
+        running in the caller: every OS thread is a Python thread."""
+
+        def reporting_draw(L, params, seed):
+            tasks = len(os.listdir("/proc/self/task"))
+            raise ValueError(f"tasks {tasks}, OpenBLAS threads {openblas_thread_counts()}")
+
+        monkeypatch.setattr(stats_module, "exact_sample", reporting_draw)
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)  # real workers, at any size
+        cfg = ExperimentConfig(
+            method=SampleMethod.Exact, n_list=(64,), params=PARAMS, repeats=4, base_seed=2
+        )
+        with openblas_threads(2):
+            report = rejection_rate_experiment(cfg, threads=2)
+            assert openblas_thread_counts() == [2] * len(openblas_controls())
+            assert len(os.listdir("/proc/self/task")) == threading.active_count()
+        libraries = len(openblas_controls())
+        assert report.cells[0].message == f"tasks 1, OpenBLAS threads {[1] * libraries}"
+
+    @pytest.mark.skipif(not Path("/proc").is_dir(), reason="threads are counted in /proc")
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_an_in_process_sweep_puts_back_the_callers_blas_threads(self, monkeypatch, fails):
+        """An in-process sweep runs every OpenBLAS at one thread, and after
+        it, also after one whose draws raise, each reports the caller's two
+        threads again, with no helper thread left running."""
+        seen = []
+
+        def reporting_draw(L, params, seed):
+            seen.append(openblas_thread_counts())
+            if fails:
+                raise ValueError("no draw")
+            return exact_sample(L, params, seed)
+
+        monkeypatch.setattr(stats_module, "exact_sample", reporting_draw)
+        cfg = ExperimentConfig(
+            method=SampleMethod.Exact, n_list=(16,), params=PARAMS, repeats=3, base_seed=2
+        )
+        with openblas_threads(2):
+            np.ones((512, 512)) @ np.ones((512, 512))  # starts the helper threads
+            report = rejection_rate_experiment(cfg, threads=1)
+            assert openblas_thread_counts() == [2] * len(openblas_controls())
+            assert len(os.listdir("/proc/self/task")) == threading.active_count()
+        assert report.cells[0].failed == fails
+        assert seen and all(counts == [1] * len(openblas_controls()) for counts in seen)
+
+    @pytest.mark.parametrize("method", ["ciq", "pciq"])
+    def test_whitened_draws_keep_their_bits_at_any_caller_blas_thread_count(
+        self, monkeypatch, method
+    ):
+        """An in-process ciq or pciq sweep at n=256, where dsymv's bits
+        depend on the BLAS thread count, whitens bitwise the same draws
+        with the caller at one OpenBLAS thread and at two."""
+        whitened = []
+
+        def recording_test(z, alpha):
+            whitened.append(z.copy())
+            return cvm_test(z, alpha)
+
+        monkeypatch.setattr(stats_module, "cvm_test", recording_test)
+        cfg = ExperimentConfig(
+            method=SampleMethod(method), n_list=(256,), params=PARAMS,
+            fidelity_grid=(4.0, 64.0), repeats=2, base_seed=5,
+        )
+        runs = []
+        for count in (1, 2):
+            whitened.clear()
+            with openblas_threads(count):
+                rejection_rate_experiment(cfg, threads=1)
+            runs.append(list(whitened))
+        assert len(runs[0]) == len(runs[1]) == 6
+        for one, two in zip(*runs):
+            np.testing.assert_array_equal(one, two)
+
     def test_a_cell_whose_draws_fail_leaves_the_others_unchanged(self, monkeypatch):
         """A cell whose draw raises at some seeds fails alone: every other
         cell at its n, and the baseline, keep the rate and McNemar p-value
@@ -962,10 +1069,12 @@ class TestRejectionRateExperiment:
             rejection_rate_experiment(cfg, threads=threads)
 
     def test_a_small_sweep_runs_in_this_process_with_the_same_report(self, monkeypatch):
-        """The benchmark's grid sweeps (n=256, 8 repeats) at threads=2 start
-        no pool, and their reports, less timing, equal those at threads=1."""
+        """The benchmark's ciq and pciq grid sweeps (n=256, 8 repeats) at
+        threads=2 start no pool, and their reports, less timing, equal those
+        at threads=1."""
         monkeypatch.setattr(stats_module, "ProcessPoolExecutor", no_pool)
-        for method, grid in GRIDS_AT_256.items():
+        for method in ("ciq", "pciq"):
+            grid = GRIDS_AT_256[method]
             cfg = ExperimentConfig(
                 method=SampleMethod(method), n_list=(256,), params=PARAMS,
                 fidelity_grid=grid, repeats=8, base_seed=101,
@@ -975,8 +1084,11 @@ class TestRejectionRateExperiment:
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="workers are forked"
     )
-    @pytest.mark.parametrize("n, repeats", [(1024, 8), (256, 32)])
-    @pytest.mark.parametrize("method", sorted(GRIDS_AT_256))
+    @pytest.mark.parametrize(
+        "method, n, repeats",
+        [(m, n, r) for m in sorted(GRIDS_AT_256) for n, r in ((1024, 8), (256, 32))]
+        + [("rff", 256, 8)],
+    )
     def test_a_large_sweep_asks_for_a_pool(self, monkeypatch, method, n, repeats):
         monkeypatch.setattr(stats_module, "ProcessPoolExecutor", no_pool)
         cfg = ExperimentConfig(
