@@ -428,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--output", default=None)
     p_exp.add_argument(
         "--threads", type=int, default=None,
-        help="the most worker processes [usable CPUs]; a sweep too small to pay for them "
+        help="the most worker processes, this one included [usable CPUs]: a sweep forks "
+        "at most threads - 1 children and runs a share itself; one too small to pay for a fork "
         "runs in this process; either way OpenBLAS runs one thread while the sweep runs; "
         "results do not depend on it",
     )

@@ -18,8 +18,6 @@ import os
 import time
 import typing
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -472,12 +470,12 @@ def _one_blas_thread() -> typing.Iterator[None]:
         set_counts(counts)
 
 
-# a sweep forks its workers only from this much estimated serial work, in
-# Cholesky flops: measured at n = 128 to 512, two forked workers broke even
-# with one process between 2.2e8 and 4.7e8, 40-70 ms of serial work. A
-# worker starts its first task 6-9 ms after the fork and pays about 5 ms of
-# page faults in it.
-_POOL_MIN_WORK = 4e8
+# a sweep forks only from this much estimated serial work, in Cholesky flops:
+# measured at n = 128 to 512, this process and one forked child broke even
+# with this process alone between 8.9e7 and 1.8e8, 15-25 ms of serial work.
+# A child starts its first task about 4 ms after the sweep starts, and it
+# and this process each pay about 1,000 page faults in their first task.
+_POOL_MIN_WORK = 1e8
 
 
 def _repeat_work(cells: Sequence[ExperimentCell]) -> int:
@@ -493,28 +491,57 @@ def _repeat_work(cells: Sequence[ExperimentCell]) -> int:
     return n**3 // 3 + 48 * n * features + 4 * n * n * max(caps, default=0)
 
 
+def _fork_share(tasks: list[tuple]) -> tuple:
+    """A forked child that sends _run_repeats(*task) for each task over a
+    one-way pipe as soon as it is done, and the pipe's receiving end; the
+    child holds the only sending end, so its exit or death ends the pipe.
+    Fork, not spawn: a spawned child pays the numpy and scipy imports again.
+    Fork copies only this thread, so a caller's other threads must not hold
+    locks the child takes; gpforge itself starts none."""
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+
+    def send_results() -> None:
+        for task in tasks:
+            send.send(_run_repeats(*task))
+
+    child = context.Process(target=send_results)
+    child.start()
+    send.close()
+    return child, receive
+
+
 def _run_tasks(tasks: list[tuple], workers: int) -> list:
     """_run_repeats(*task) for each task, in task order, with every OpenBLAS
-    at one thread: on `workers` forked processes when workers > 1 and the
-    platform can fork, else in this process. A task whose worker died
-    before it returned gives None."""
+    at one thread. When workers > 1 and the platform can fork, the tasks
+    split into `workers` round-robin shares, tasks[w::workers]: this process
+    runs share 0 and a forked child runs each other share. Else this process
+    runs them all. A task whose child died before it returned gives None;
+    if this process's own share raises, the children are terminated, and
+    no child outlives the call."""
     with _one_blas_thread():
         if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
             return [_run_repeats(*task) for task in tasks]
-        # fork, not spawn: a spawned worker pays the numpy and scipy imports again.
-        # Fork copies only this thread, so a caller's other threads must not hold
-        # locks the workers take; gpforge itself starts none.
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, context) as pool:
-            futures = []
-            with contextlib.suppress(BrokenProcessPool):  # a worker died while tasks were queued
-                for task in tasks:
-                    futures.append(pool.submit(_run_repeats, *task))
-            outcomes = [
-                None if isinstance(f.exception(), BrokenProcessPool) else f.result()
-                for f in futures
-            ]
-    return outcomes + [None] * (len(tasks) - len(futures))
+        results = [None] * len(tasks)
+        children = []
+        try:
+            for w in range(1, workers):
+                children.append(_fork_share(tasks[w::workers]))
+            results[::workers] = [_run_repeats(*task) for task in tasks[::workers]]
+            for w, (_, receive) in enumerate(children, start=1):
+                # a child that died, even mid-message, returned only its first tasks
+                with contextlib.suppress(EOFError, OSError):
+                    for i in range(w, len(tasks), workers):
+                        results[i] = receive.recv()
+        except BaseException:
+            for child, _ in children:
+                child.terminate()
+            raise
+        finally:
+            for child, receive in children:
+                child.join()
+                receive.close()
+    return results
 
 
 def rejection_rate_experiment(
@@ -535,17 +562,19 @@ def rejection_rate_experiment(
 
     The repeats at each n are split into contiguous chunks of
     ceil(repeats / (4 * threads)), so that chunks spread over the
-    workers. threads caps the workers: a sweep whose estimated serial
-    work is too small to pay for a pool, and every sweep at threads=1,
-    runs its chunks in this process (also where fork is missing); a
-    larger one runs them on min(threads, chunks) forked worker processes.
-    Either way every loaded OpenBLAS runs one thread while the chunks
-    run, and the caller's counts come back after, also on error; the
-    workers inherit the one thread, and no other thread of the caller
-    may run BLAS meanwhile. The report does not depend on which path
-    ran, nor on the caller's OpenBLAS thread count. A worker
-    that dies fails the cells whose chunks did not return, and the
-    sweep still returns its report. threads below 1 raises ValueError.
+    workers. threads caps the worker processes, this one included: a
+    sweep whose estimated serial work is too small to pay for a fork,
+    and every sweep at threads=1, runs its chunks in this process (also
+    where fork is missing); a larger one deals them round-robin to
+    w = min(threads, chunks) workers, this process and w - 1 forked
+    children. Either way every loaded OpenBLAS runs one thread while the
+    chunks run, and the caller's counts come back after, also on error;
+    the children inherit the one thread, and no other thread of the
+    caller may run BLAS meanwhile. The report does not depend on which
+    path ran, nor on the caller's OpenBLAS thread count. A child that
+    dies fails the cells whose chunks it did not return, and the sweep
+    still returns its report; no child outlives the call. threads below
+    1 raises ValueError.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

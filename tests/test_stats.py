@@ -780,7 +780,7 @@ class NoPool(Exception):
 
 
 def no_pool(*args, **kwargs):
-    """A stand-in for ProcessPoolExecutor that refuses to start."""
+    """A stand-in for the sweep's fork point, stats._fork_share, that refuses to start."""
     raise NoPool
 
 
@@ -899,9 +899,10 @@ class TestRejectionRateExperiment:
         """A worker process that dies fails the cells whose chunks did not
         return; the sweep still returns a report that renders."""
         rff = stats_module.rff_sample
+        caller = os.getpid()
 
         def dying_rff(X, params, D, seed):
-            if D == 16:
+            if D == 16 and os.getpid() != caller:
                 os._exit(3)
             return rff(X, params, D, seed)
 
@@ -926,6 +927,60 @@ class TestRejectionRateExperiment:
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="workers are forked"
     )
+    def test_the_caller_is_one_of_two_workers(self, monkeypatch, tmp_path):
+        """At threads=2 a forked sweep's draws run in this process and in
+        exactly one other."""
+        pids = tmp_path / "pids"
+        rff = stats_module.rff_sample
+
+        def logging_rff(X, params, D, seed):
+            with open(pids, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            return rff(X, params, D, seed)
+
+        monkeypatch.setattr(stats_module, "rff_sample", logging_rff)
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)  # real workers, at any size
+        cfg = ExperimentConfig(
+            method=SampleMethod.Rff, n_list=(16,), params=PARAMS,
+            fidelity_grid=(4.0,), repeats=8, base_seed=5,
+        )
+        rejection_rate_experiment(cfg, threads=2)
+        seen = set(pids.read_text().split())
+        assert len(seen) == 2 and str(os.getpid()) in seen
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="workers are forked"
+    )
+    @pytest.mark.parametrize("fault", [None, "a child exits", "the caller is interrupted"])
+    def test_no_child_outlives_a_forked_sweep(self, monkeypatch, fault):
+        """No forked child is left after a sweep: one that ran through, one
+        whose child called os._exit, or one whose own share in this process
+        raised KeyboardInterrupt, which propagates."""
+        rff = stats_module.rff_sample
+        caller = os.getpid()
+
+        def faulty_rff(X, params, D, seed):
+            if fault == "a child exits" and os.getpid() != caller:
+                os._exit(3)
+            if fault == "the caller is interrupted" and os.getpid() == caller:
+                raise KeyboardInterrupt
+            return rff(X, params, D, seed)
+
+        monkeypatch.setattr(stats_module, "rff_sample", faulty_rff)
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)  # real workers, at any size
+        cfg = ExperimentConfig(
+            method=SampleMethod.Rff, n_list=(16, 24), params=PARAMS,
+            fidelity_grid=(4.0, 16.0), repeats=8, base_seed=5,
+        )
+        interrupted = fault == "the caller is interrupted"
+        with pytest.raises(KeyboardInterrupt) if interrupted else contextlib.nullcontext():
+            report = rejection_rate_experiment(cfg, threads=4)
+            assert any(c.failed for c in report.cells) == (fault is not None)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="workers are forked"
+    )
     def test_workers_run_one_blas_thread_and_the_caller_keeps_its_count(self, monkeypatch):
         """Each worker pins every OpenBLAS it has to one thread; the calling
         process, which has just run a multi-threaded matmul, keeps its counts."""
@@ -934,8 +989,11 @@ class TestRejectionRateExperiment:
         before = openblas_thread_counts()
         if not before:
             pytest.skip("no OpenBLAS is loaded")
+        caller = os.getpid()
 
         def reporting_draw(L, params, seed):
+            if os.getpid() == caller:  # only a forked worker reports
+                return exact_sample(L, params, seed)
             raise ValueError(f"OpenBLAS threads {openblas_thread_counts()}")
 
         monkeypatch.setattr(stats_module, "exact_sample", reporting_draw)
@@ -957,8 +1015,11 @@ class TestRejectionRateExperiment:
         pins them before the fork, and the worker sets no count itself.
         Putting back the caller's count leaves no OpenBLAS helper thread
         running in the caller: every OS thread is a Python thread."""
+        caller = os.getpid()
 
         def reporting_draw(L, params, seed):
+            if os.getpid() == caller:  # only a forked worker reports
+                return exact_sample(L, params, seed)
             tasks = len(os.listdir("/proc/self/task"))
             raise ValueError(f"tasks {tasks}, OpenBLAS threads {openblas_thread_counts()}")
 
@@ -1069,14 +1130,14 @@ class TestRejectionRateExperiment:
             rejection_rate_experiment(cfg, threads=threads)
 
     def test_a_small_sweep_runs_in_this_process_with_the_same_report(self, monkeypatch):
-        """The benchmark's ciq and pciq grid sweeps (n=256, 8 repeats) at
-        threads=2 start no pool, and their reports, less timing, equal those
+        """ciq and pciq sweeps at the benchmark's grids, n=128 and 8 repeats,
+        at threads=2 fork nothing, and their reports, less timing, equal those
         at threads=1."""
-        monkeypatch.setattr(stats_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(stats_module, "_fork_share", no_pool)
         for method in ("ciq", "pciq"):
             grid = GRIDS_AT_256[method]
             cfg = ExperimentConfig(
-                method=SampleMethod(method), n_list=(256,), params=PARAMS,
+                method=SampleMethod(method), n_list=(128,), params=PARAMS,
                 fidelity_grid=grid, repeats=8, base_seed=101,
             )
             assert len({rendered(rejection_rate_experiment(cfg, threads=t)) for t in (1, 2)}) == 1
@@ -1086,11 +1147,10 @@ class TestRejectionRateExperiment:
     )
     @pytest.mark.parametrize(
         "method, n, repeats",
-        [(m, n, r) for m in sorted(GRIDS_AT_256) for n, r in ((1024, 8), (256, 32))]
-        + [("rff", 256, 8)],
+        [(m, n, r) for m in sorted(GRIDS_AT_256) for n, r in ((1024, 8), (256, 32), (256, 8))],
     )
     def test_a_large_sweep_asks_for_a_pool(self, monkeypatch, method, n, repeats):
-        monkeypatch.setattr(stats_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(stats_module, "_fork_share", no_pool)
         cfg = ExperimentConfig(
             method=SampleMethod(method), n_list=(n,), params=PARAMS,
             fidelity_grid=GRIDS_AT_256[method], repeats=repeats, base_seed=1,
@@ -1099,14 +1159,14 @@ class TestRejectionRateExperiment:
             rejection_rate_experiment(cfg, threads=2)
 
     def test_a_small_exact_sweep_runs_in_this_process(self, monkeypatch):
-        monkeypatch.setattr(stats_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(stats_module, "_fork_share", no_pool)
         cfg = ExperimentConfig(
-            method=SampleMethod.Exact, n_list=(256,), params=PARAMS, repeats=32, base_seed=1
+            method=SampleMethod.Exact, n_list=(256,), params=PARAMS, repeats=16, base_seed=1
         )
         assert not rejection_rate_experiment(cfg, threads=2).cells[0].failed
 
     def test_one_thread_never_forks(self, monkeypatch):
-        monkeypatch.setattr(stats_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(stats_module, "_fork_share", no_pool)
         monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)
         cfg = ExperimentConfig(
             method=SampleMethod.Rff, n_list=(16, 24), params=PARAMS,
