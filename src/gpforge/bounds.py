@@ -76,43 +76,43 @@ class FidelitySpec:
 
     @classmethod
     def for_ciq(
-        cls,
-        n: int,
-        params: KernelParams,
-        epsilon: float,
-        eta: float = DEFAULT_ETA,
-        delta_Q: float | None = None,
+        cls, n: int, params: KernelParams, epsilon: float, eta: float = DEFAULT_ETA,
+        delta_Q: float | None = None, Q: int | None = None, J: int | None = None,
     ) -> "FidelitySpec":
-        """Fill Q and J from the quadrature and iteration calculators.
-
-        delta_Q defaults to half its cap, the Krylov headroom at delta_Q = 0,
-        so the quadrature and Krylov error budgets are split evenly.
-        ciq_min_quadrature refuses a delta_Q outside (0, 1) and
-        ciq_min_iterations one at or above its cap.
+        """Keep a given Q and J and size only what is missing: Q by
+        ciq_min_quadrature, then J by ciq_min_iterations at that Q. With both
+        given, neither runs. delta_Q defaults to half its cap, the Krylov
+        headroom at delta_Q = 0, so the quadrature and Krylov error budgets are
+        split evenly; those calculators refuse a delta_Q outside (0, 1) and one
+        at or above its cap.
         """
         cls(epsilon=epsilon, eta=eta)  # rejects either out of range before sqrt(1 - eta)
         if delta_Q is None:
             delta_Q = 0.5 * _krylov_headroom(n, eta, params.noise_variance, epsilon, 0.0)
-        Q = ciq_min_quadrature(n, eta, params.noise_variance, delta_Q)
-        J = ciq_min_iterations(n, eta, params.noise_variance, epsilon, delta_Q, Q)
+        if Q is None:
+            Q = ciq_min_quadrature(n, eta, params.noise_variance, delta_Q)
+        if J is None:
+            J = ciq_min_iterations(n, eta, params.noise_variance, epsilon, delta_Q, Q)
         return cls(epsilon=epsilon, delta_Q=delta_Q, eta=eta, Q=Q, J=J)
 
     @classmethod
     def for_pciq(
         cls, n: int, params: KernelParams, epsilon: float, eta: float = DEFAULT_ETA,
         delta_Q: float | None = None, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2,
-        c_tilde: float = DEFAULT_C_TILDE,
+        c_tilde: float = DEFAULT_C_TILDE, Q: int | None = None, J: int | None = None,
     ) -> "FidelitySpec":
-        """for_ciq, but J from the preconditioned iteration bound at rank
-        default_rank(n), with lambda_(rank+1) from the decay model of
-        constants c1, c2 and sigma_f = sqrt(variance). Raises where for_ciq does."""
-        spec = cls.for_ciq(n, params, epsilon, eta, delta_Q)
+        """for_ciq, but a missing J comes from the preconditioned iteration bound at
+        rank default_rank(n), with lambda_(rank+1) from the decay model of constants
+        c1, c2 and sigma_f = sqrt(variance). That bound reads no Q, so for_ciq sizes
+        Q alone, at a stand-in J of 1, and no ciq J. Raises where for_ciq sizes Q."""
         rank = default_rank(n)
-        model = DecayModel(c1=c1, c2=c2, sigma_f=math.sqrt(params.variance), dim=params.dim)
-        J = precond_min_iterations(
-            belkin_lambda_bound(rank + 1, n, model),
-            n, eta, params.noise_variance, epsilon, spec.delta_Q, c_tilde,
-        )
+        spec = cls.for_ciq(n, params, epsilon, eta, delta_Q, Q, 1 if J is None else J)
+        if J is None:
+            model = DecayModel(c1=c1, c2=c2, sigma_f=math.sqrt(params.variance), dim=params.dim)
+            J = precond_min_iterations(
+                belkin_lambda_bound(rank + 1, n, model),
+                n, eta, params.noise_variance, epsilon, spec.delta_Q, c_tilde,
+            )
         return replace(spec, J=J, rank=rank)
 
 
@@ -211,16 +211,16 @@ def ciq_min_iterations(
 ) -> int:
     """Sufficient Krylov iteration count for the quadrature sampler.
 
-    Evaluates the exact rearranged iteration bound with the analytic
-    condition-number envelope kappa = n/(eta*sigma_xi^2) + 1 and
-    smallest shifted eigenvalue eta*sigma_xi^2.
+    Evaluates the exact rearranged iteration bound with kappa from
+    condition_number_bound at unit signal variance and smallest shifted
+    eigenvalue eta*sigma_xi^2.
     """
     headroom = _krylov_headroom(n, eta, sigma_xi2, epsilon, delta_Q)
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
 
     def raw() -> float:
-        kappa = n / (eta * sigma_xi2) + 1.0
+        kappa = condition_number_bound(n, eta, sigma_xi2, 1.0)
         lam_n = eta * sigma_xi2
         sqrt_k = math.sqrt(kappa)
         prefactor = math.log(sqrt_k - 1.0) - math.log(sqrt_k + 1.0)

@@ -402,8 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--features", type=int, default=None, help="rff feature count D")
     p_sample.add_argument("--eta", type=float, help=f"ciq noise split [{DEFAULT_ETA}]")
     p_sample.add_argument("--eps", type=float, help=f"ciq default budget [{DEFAULT_EPSILON}]")
-    p_sample.add_argument("--quadrature", type=int, default=None, help="ciq node count Q")
-    p_sample.add_argument("--iterations", type=int, default=None, help="ciq iteration cap J")
+    p_sample.add_argument(
+        "--quadrature", type=int, help="ciq node count Q [sized]; ciq's J is then sized at this Q"
+    )
+    p_sample.add_argument(
+        "--iterations", type=int, help="ciq iteration cap J [sized]; a given J sizes only Q"
+    )
     p_sample.add_argument("--rank", type=int, default=None, help="pciq preconditioner rank")
     _add_kernel_flags(p_sample)
     p_sample.set_defaults(func=cmd_sample)

@@ -29,7 +29,6 @@ from .bounds import DEFAULT_EPSILON, DEFAULT_ETA, FidelitySpec
 from .ciq import ciq_sample
 from .exact import GpSample, SampleMethod, cholesky_factor, exact_sample, whiten
 from .kernel import InputData, KernelParams, gram, json_object, json_value, sample_inputs
-from .precond import default_rank
 from .rff import rff_sample
 
 # asymptotic critical values for the fully specified normal null
@@ -228,13 +227,13 @@ def resolve_fidelity(
 ) -> FidelitySpec:
     """Check every fidelity value of `method` at size n and fill the defaults.
 
-    rff needs D. ciq and pciq take a missing eta as DEFAULT_ETA, a
-    missing epsilon as DEFAULT_EPSILON, and a missing Q or J from
-    FidelitySpec.for_ciq (ciq) or FidelitySpec.for_pciq (pciq) at budget
-    epsilon; pciq takes a missing rank from default_rank(n), and its J
-    does not depend on the rank asked for. Values a method does not use
-    are ignored. Raises ValueError on any invalid value, before any
-    sampling work.
+    rff needs D. ciq and pciq take a missing eta as DEFAULT_ETA and a
+    missing epsilon as DEFAULT_EPSILON, and pass a given Q and J to
+    FidelitySpec.for_ciq (ciq) or FidelitySpec.for_pciq (pciq), which size
+    only the one missing at budget epsilon; with both given, nothing is
+    sized. pciq takes a missing rank from default_rank(n), and its J reads
+    neither Q nor the rank asked for. Values a method does not use are
+    ignored. Raises ValueError on any invalid value, before any sampling work.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -246,17 +245,14 @@ def resolve_fidelity(
         return FidelitySpec(D=D)
     eta = DEFAULT_ETA if eta is None else eta
     epsilon = DEFAULT_EPSILON if epsilon is None else epsilon
-    if Q is None or J is None:
-        pciq = method is SampleMethod.CiqPreconditioned
-        spec = (FidelitySpec.for_pciq if pciq else FidelitySpec.for_ciq)(n, params, epsilon, eta)
-        Q = spec.Q if Q is None else Q
-        J = spec.J if J is None else J
-    if method is not SampleMethod.CiqPreconditioned:
-        return FidelitySpec(eta=eta, Q=Q, J=J)
-    rank = default_rank(n) if rank is None else rank
+    if method is SampleMethod.Ciq:
+        spec = FidelitySpec.for_ciq(n, params, epsilon, eta, Q=Q, J=J)
+        return FidelitySpec(eta=eta, Q=spec.Q, J=spec.J)
+    spec = FidelitySpec.for_pciq(n, params, epsilon, eta, Q=Q, J=J)
+    rank = spec.rank if rank is None else rank
     if not 1 <= rank <= n:
         raise ValueError(f"rank must satisfy 1 <= rank <= n, got rank={rank}, n={n}")
-    return FidelitySpec(eta=eta, Q=Q, J=J, rank=rank)
+    return FidelitySpec(eta=eta, Q=spec.Q, J=spec.J, rank=rank)
 
 
 def draw(

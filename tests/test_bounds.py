@@ -26,6 +26,7 @@ from gpforge import (
     sample_inputs,
     tv_from_kl,
 )
+from gpforge import bounds
 from gpforge.kernel import GramMatrix
 
 PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
@@ -55,6 +56,16 @@ class TestFidelitySpec:
         assert (spec.delta_Q, spec.eta, spec.Q, spec.rank) == (ciq.delta_Q, 0.5, ciq.Q, 16)
         assert spec.J == precond_min_iterations(lam_17, 256, 0.5, 0.25, 0.1, ciq.delta_Q) == 507
         assert ciq.J == 357
+
+    def test_pciq_sizes_no_ciq_iterations(self, monkeypatch):
+        """for_pciq's J reads no Q, so it never asks ciq's iteration
+        calculator, whose J it would only drop."""
+
+        def refuse(*args):
+            raise AssertionError("for_pciq sized ciq's J")
+
+        monkeypatch.setattr(bounds, "ciq_min_iterations", refuse)
+        assert FidelitySpec.for_pciq(256, PARAMS, 0.1).J == 507
 
     @pytest.mark.parametrize("n", [1, 256, 10**6])
     def test_default_delta_q_is_half_the_cap(self, n):

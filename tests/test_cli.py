@@ -180,6 +180,21 @@ def test_sample_pciq_default_fidelity_is_the_pciq_calculators(tmp_path, capsys, 
     assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
 
+@pytest.mark.parametrize("method", ["ciq", "pciq"])
+def test_a_given_iteration_cap_sizes_only_q(tmp_path, capsys, method):
+    """At noise variance 1e-100 the iteration calculators give no finite J;
+    with --iterations given none of them runs, so the sample is drawn at
+    J = 50 and records it, where it used to exit 2 with "J is not a finite
+    number at these inputs"."""
+    out = tmp_path / "s.csv"
+    rc, _, err = run(
+        capsys, "sample", "--method", method, "--n", "64", "--noise-variance", "1e-100",
+        "--iterations", "50", "--output", str(out),
+    )
+    assert rc == 0, err
+    assert json.loads((tmp_path / "s.csv.json").read_text())["fidelity"]["J"] == 50
+
+
 def assert_one_error_line(err):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 

@@ -175,3 +175,20 @@ def test_the_package_imports_in_one_direction():
     assert nested == []
     # static_order raises graphlib.CycleError, naming the modules of a cycle
     list(graphlib.TopologicalSorter(graph).static_order())
+
+
+def test_only_bounds_calls_the_fidelity_calculators():
+    """Every Q and J is sized by FidelitySpec.for_ciq or for_pciq, so no
+    module of the package but bounds.py calls the calculators behind them;
+    a second caller would be a second sizing path."""
+    calculators = {"ciq_min_quadrature", "ciq_min_iterations", "precond_min_iterations"}
+    src = Path(gpforge.__file__).resolve().parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in calculators and path.name != "bounds.py":
+                    callers.append(f"{path.name}:{node.lineno} {name}")
+    assert callers == []

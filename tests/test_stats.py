@@ -11,6 +11,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import gpforge
 from gpforge import stats as stats_module
+from gpforge.bounds import DEFAULT_EPSILON
 from gpforge import (
     ExperimentConfig,
     ExperimentReport,
@@ -189,11 +191,59 @@ class TestResolveFidelity:
             (SampleMethod.Ciq, {"J": 0}),
             (SampleMethod.CiqPreconditioned, {"rank": 0}),
             (SampleMethod.CiqPreconditioned, {"rank": 17}),
+            (SampleMethod.Ciq, {"epsilon": 2.0, "Q": 3, "J": 5}),  # checked though unused
         ],
     )
     def test_rejects_invalid_values(self, method, kwargs):
         with pytest.raises(ValueError):
             resolve_fidelity(method, params=PARAMS, **{"n": 16, **kwargs})
+
+    @pytest.mark.parametrize("n, J", [(256, 395), (2048, 1326)])
+    def test_a_given_q_sizes_ciq_j_at_that_q(self, n, J):
+        """ciq's J is sized at the Q given, not at the calculator's Q = 3,
+        whose J is 357 at n = 256 and 1219 at n = 2048."""
+        fidelity = resolve_fidelity(SampleMethod.Ciq, n, PARAMS, Q=16)
+        assert (fidelity.Q, fidelity.J) == (16, J)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pciq=st.booleans(),
+    n=st.integers(1, 4096),
+    noise=st.floats(1e-4, 1e2),
+    Q=st.none() | st.integers(1, 64),
+    J=st.none() | st.integers(1, 5000),
+)
+def test_a_given_q_or_j_passes_through_and_only_the_missing_one_is_sized(pciq, n, noise, Q, J):
+    """resolve_fidelity returns a given Q and J unchanged and sizes what is
+    missing at the given value: ciq's J at the Q that runs, pciq's J from the
+    preconditioned bound, which reads no Q. Q is sized only when missing,
+    ciq's calculator only when ciq's J is missing, the preconditioned one
+    only when pciq's is, and with both given no calculator runs."""
+    params = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=noise, dim=2)
+    method = SampleMethod.CiqPreconditioned if pciq else SampleMethod.Ciq
+    bounds = gpforge.bounds
+    with contextlib.ExitStack() as stack:
+        calls = {
+            name: stack.enter_context(
+                unittest.mock.patch.object(bounds, name, wraps=getattr(bounds, name))
+            )
+            for name in ("ciq_min_quadrature", "ciq_min_iterations", "precond_min_iterations")
+        }
+        f = resolve_fidelity(method, n, params, Q=Q, J=J)
+    assert {name: mock.called for name, mock in calls.items()} == {
+        "ciq_min_quadrature": Q is None,
+        "ciq_min_iterations": J is None and not pciq,
+        "precond_min_iterations": J is None and pciq,
+    }
+    delta_Q = FidelitySpec.for_ciq(n, params, DEFAULT_EPSILON).delta_Q
+    assert f.Q == (bounds.ciq_min_quadrature(n, 0.5, noise, delta_Q) if Q is None else Q)
+    if J is not None:
+        assert f.J == J
+    elif pciq:
+        assert f.J == FidelitySpec.for_pciq(n, params, DEFAULT_EPSILON).J
+    else:
+        assert f.J == bounds.ciq_min_iterations(n, 0.5, noise, DEFAULT_EPSILON, delta_Q, f.Q)
 
 
 def test_draw_dispatches_to_each_sampler():
@@ -285,6 +335,20 @@ def test_a_pciq_cell_whose_factor_reaches_rank_zero_runs():
     report = rejection_rate_experiment(config)
     assert not any(cell.failed for cell in report.cells + report.baseline)
     assert all(0.0 <= cell.rate <= 1.0 for cell in report.cells)
+
+
+@pytest.mark.parametrize("method", [SampleMethod.Ciq, SampleMethod.CiqPreconditioned])
+def test_a_sweep_whose_ciq_j_is_not_finite_runs_at_its_grid_j(method):
+    """At noise variance 1e-100 ciq's iteration calculator gives no finite
+    J, but a sweep gives every J and sizes only Q, so no cell fails; each
+    used to fail with "J is not a finite number at these inputs"."""
+    params = dataclasses.replace(PARAMS, noise_variance=1e-100)
+    config = ExperimentConfig(
+        method=method, n_list=(16,), params=params, fidelity_grid=(8, 16), repeats=2,
+    )
+    report = rejection_rate_experiment(config)
+    assert not any(cell.failed for cell in report.cells + report.baseline)
+    assert [cell.ran.J for cell in report.cells] == [8, 16]
 
 
 @pytest.mark.parametrize("method", [SampleMethod.Ciq, SampleMethod.CiqPreconditioned])
