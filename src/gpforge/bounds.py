@@ -1,9 +1,10 @@
 """Closed-form fidelity calculators and divergence inequalities.
 
-Everything here is pure arithmetic: given data size and hyperparameters,
-compute how many random features, quadrature nodes or Krylov iterations
-suffice for a target total-variation budget, plus the KL/TV plumbing
-that connects matrix error norms to statistical indistinguishability.
+Everything here is pure arithmetic: given data size and hyperparameters, compute how
+many random features, quadrature nodes or Krylov iterations suffice for a target
+total-variation budget, plus the condition bounds and the KL/TV plumbing that connect
+matrix error norms to statistical indistinguishability. Every fidelity default lives
+here, pciq's preconditioner rank default_rank(n) among them.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .kernel import KernelParams
-from .precond import default_rank
 
 # the ciq noise split, and the total-variation budget of a default Q and J
 DEFAULT_ETA = 0.5
 DEFAULT_EPSILON = 0.1
+DEFAULT_DELTA = 0.01  # the failure probability of a default rff D
 # the decay-model constants and the slack of a default pciq J
 DEFAULT_C1 = 1.0
 DEFAULT_C2 = 1.0
@@ -144,6 +145,11 @@ def _finite(name: str, formula: Callable[[], float]) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} is not a finite number at these inputs")
     return value
+
+
+def default_rank(n: int) -> int:
+    """The preconditioner rank floor(sqrt(n)) that the iteration bound assumes."""
+    return max(1, math.isqrt(n))
 
 
 def rff_min_features(n: int, epsilon: float, delta: float, sigma_xi2: float) -> int:
@@ -278,6 +284,19 @@ def condition_number_bound(n: int, eta: float, sigma_xi2: float, sigma_f2: float
     if n < 1 or sigma_xi2 <= 0 or sigma_f2 <= 0 or not 0 < eta <= 1:
         raise ValueError("arguments must be positive with eta in (0, 1]")
     return _finite("kappa_bound", lambda: n * sigma_f2 / (eta * sigma_xi2) + 1.0)
+
+
+def preconditioned_condition_bound(
+    lambda_kp1: float, n: int, eta: float, sigma_xi2: float, k: int
+) -> float:
+    """Condition-number bound for the preconditioned noisy kernel."""
+    if lambda_kp1 < 0:
+        raise ValueError(f"lambda_kp1 must be >= 0, got {lambda_kp1}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if sigma_xi2 <= 0 or not 0 < eta <= 1:
+        raise ValueError("need sigma_xi2 > 0 and eta in (0, 1]")
+    return 1.0 + 2.0 * lambda_kp1 * math.sqrt(4.0 * k * (n - k) + 1.0) / (eta * sigma_xi2)
 
 
 def ciq_error_bound(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import precond as precond_mod
-from .bounds import DEFAULT_EPSILON, DEFAULT_ETA, DecayModel, FidelitySpec
+from .bounds import DEFAULT_DELTA, DEFAULT_EPSILON, DEFAULT_ETA, DecayModel, FidelitySpec
 from .exact import GpSample, SampleMethod, cholesky_factor, whiten
 from .kernel import InputData, KernelParams, gram, json_value, sample_inputs
 from .stats import (
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--method", required=True, choices=_METHODS)
     p_bounds.add_argument("--n", type=int, required=True, help="dataset size")
     p_bounds.add_argument("--eps", type=float, required=True, help="total-variation budget")
-    p_bounds.add_argument("--delta", type=float, default=0.01, help="failure probability")
+    p_bounds.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="failure probability")
     p_bounds.add_argument("--eta", type=float, default=DEFAULT_ETA, help="noise split")
     p_bounds.add_argument(
         "--delta-q", type=float, default=None, dest="delta_q",

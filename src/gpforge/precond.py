@@ -1,18 +1,18 @@
 """Low-rank preconditioning for the shifted solves.
 
-A greedy pivoted partial Cholesky factor of the noiseless kernel gives
-a rank-k surrogate whose shifted inverse is cheap to apply through the
-Woodbury identity, at any shift, through one k x k eigendecomposition.
+A greedy pivoted partial Cholesky factor of the noiseless kernel gives a rank-k surrogate
+whose shifted inverse is cheap to apply through the Woodbury identity, at any shift, via
+one k x k eigendecomposition. Its default rank and condition bound live in bounds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _streams
+from .bounds import default_rank
 from .kernel import GramMatrix, KernelParams, _symmetric_mv, gram, sample_inputs
 
 # power-iteration steps behind each effectiveness_sweep metric
@@ -47,11 +47,6 @@ class NystromPreconditioner:
         object.__setattr__(self, "_basis", F @ V)
 
 
-def default_rank(n: int) -> int:
-    """The preconditioner rank floor(sqrt(n)) that the iteration bound assumes."""
-    return max(1, math.isqrt(n))
-
-
 def nystrom_factor(K: GramMatrix, k: int) -> NystromPreconditioner:
     """Greedy pivoted partial Cholesky of the kernel with its jitter removed.
 
@@ -72,7 +67,7 @@ def nystrom_factor(K: GramMatrix, k: int) -> NystromPreconditioner:
         if d[i] <= exhausted_at:
             F = F[:, :m]
             break
-        col = A[:, i].copy()
+        col = np.concatenate((A[i, :i], A[i:, i]))  # K's lower triangle only
         col[i] -= K.jitter
         col -= F[:, :m] @ F[i, :m]  # zeros at m = 0
         F[:, m] = col / np.sqrt(d[i])
@@ -92,19 +87,6 @@ def apply_shifted_inverse(
     v = np.asarray(v, dtype=np.float64)
     U = P._basis
     return (v - U @ ((U.T @ v) / (P._eigvals + s))) / s
-
-
-def preconditioned_condition_bound(
-    lambda_kp1: float, n: int, eta: float, sigma_xi2: float, k: int
-) -> float:
-    """Condition-number bound for the preconditioned noisy kernel."""
-    if lambda_kp1 < 0:
-        raise ValueError(f"lambda_kp1 must be >= 0, got {lambda_kp1}")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if sigma_xi2 <= 0 or not 0 < eta <= 1:
-        raise ValueError("need sigma_xi2 > 0 and eta in (0, 1]")
-    return 1.0 + 2.0 * lambda_kp1 * np.sqrt(4.0 * k * (n - k) + 1.0) / (eta * sigma_xi2)
 
 
 def _power_iteration_deviation(K: np.ndarray, P: NystromPreconditioner, seed: int) -> float:

@@ -258,7 +258,7 @@ class TestShiftedSolve:
     @pytest.mark.parametrize("preconditioned", [False, True])
     def test_only_the_lower_triangle_is_read(self, preconditioned):
         """With K's strict upper triangle overwritten by NaN, msMINRES, PCG
-        (its factor built from the intact K) and the final product of the
+        (its factor built from that K too) and the final product of the
         square root give the bits they give on the intact K."""
         p = KernelParams(variance=1.0, lengthscale=0.7, noise_variance=0.25, dim=2)
         K = gram(sample_inputs(64, p, 6), p, jitter=0.125)
@@ -267,12 +267,15 @@ class TestShiftedSolve:
         shifts, _ = build_quadrature(*spectral_envelope(K), 3)
         caps = (2, 9, 60)
         P = nystrom_factor(K, default_rank(64)) if preconditioned else None
+        P_lower = nystrom_factor(lower, default_rank(64)) if preconditioned else None
         for got, want in zip(
-            _solve_to_caps(lower, shifts, u, caps, 1e-10, P),
+            _solve_to_caps(lower, shifts, u, caps, 1e-10, P_lower),
             _solve_to_caps(K, shifts, u, caps, 1e-10, P),
         ):
             assert_same_solve(got, want)
-        for got, want in zip(ciq_sqrt_mv(lower, u, 3, caps, P), ciq_sqrt_mv(K, u, 3, caps, P)):
+        for got, want in zip(
+            ciq_sqrt_mv(lower, u, 3, caps, P_lower), ciq_sqrt_mv(K, u, 3, caps, P)
+        ):
             assert_same_solve(got, want)
 
     @pytest.mark.parametrize("preconditioned", [False, True])

@@ -192,3 +192,38 @@ def test_only_bounds_calls_the_fidelity_calculators():
                 if name in calculators and path.name != "bounds.py":
                     callers.append(f"{path.name}:{node.lineno} {name}")
     assert callers == []
+
+
+def test_bounds_owns_the_sizing_arithmetic():
+    """bounds.py imports no module of the package but kernel; pciq's default
+    rank, the preconditioned condition bound and the rff failure probability
+    default are defined there and in no other module, by a `def` or a
+    module-level assignment; and `gpforge bounds --delta` defaults to that
+    constant."""
+    owned = {"default_rank", "preconditioned_condition_bound", "DEFAULT_DELTA"}
+    src = Path(gpforge.__file__).resolve().parent
+    homes = {name: [] for name in owned}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in owned.intersection(names):
+                homes[name].append(path.name)
+        if path.name == "bounds.py":
+            imported = {
+                node.module or alias.name
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names
+            }
+            assert imported == {"kernel"}
+    assert homes == {name: ["bounds.py"] for name in owned}
+    # argparse hands back a default that is not a string as the object given
+    args = cli.build_parser().parse_args(["bounds", "--method", "rff", "--n", "8", "--eps", "0.1"])
+    assert args.delta is gpforge.bounds.DEFAULT_DELTA

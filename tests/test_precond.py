@@ -78,6 +78,16 @@ class TestNystromFactor:
         with pytest.raises(ValueError):
             nystrom_factor(K, 0)
 
+    @pytest.mark.parametrize("n, lengthscale, dim", [(64, 0.1, 2), (257, 0.7, 3), (300, 1.0, 2)])
+    def test_only_the_lower_triangle_is_read(self, n, lengthscale, dim):
+        """With K's strict upper triangle overwritten by NaN the factor keeps
+        its bits: each pivot column is gathered from the lower triangle."""
+        p = KernelParams(variance=1.0, lengthscale=lengthscale, noise_variance=0.25, dim=dim)
+        K = gram(sample_inputs(n, p, seed=n), p, jitter=p.noise_variance)
+        lower = GramMatrix(np.where(np.tri(n, dtype=bool), K.entries, np.nan), K.jitter)
+        want = nystrom_factor(K, default_rank(n)).factor
+        assert nystrom_factor(lower, default_rank(n)).factor.tobytes() == want.tobytes()
+
     def test_pure_noise_matrix_exhausts_immediately(self):
         K = GramMatrix(entries=0.5 * np.eye(3), jitter=0.5)
         P = nystrom_factor(K, 2)

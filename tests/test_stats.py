@@ -8,6 +8,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -1011,6 +1012,33 @@ class TestRejectionRateExperiment:
         rejection_rate_experiment(cfg, threads=2)
         seen = set(pids.read_text().split())
         assert len(seen) == 2 and str(os.getpid()) in seen
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="workers are forked"
+    )
+    def test_a_child_whose_results_overfill_its_pipe_returns_them_all(self, monkeypatch):
+        """A child's results wait in its pipe, which holds 64 KiB, until the
+        caller's own share ends. At 50 rff cells and 6 sizes the child's share,
+        tasks[1::2], returns more than that; the child blocks on a full pipe
+        and the sweep still gives the report of an in-process one."""
+        run_tasks, seen = stats_module._run_tasks, {}
+
+        def recording_run_tasks(tasks, workers):
+            seen.update(workers=workers, results=run_tasks(tasks, workers))
+            return seen["results"]
+
+        monkeypatch.setattr(stats_module, "_run_tasks", recording_run_tasks)
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)  # real workers, at any size
+        cfg = ExperimentConfig(
+            method=SampleMethod.Rff, n_list=(4, 5, 6, 7, 8, 9), params=PARAMS,
+            fidelity_grid=tuple(float(D) for D in range(2, 101, 2)), repeats=8, base_seed=7,
+        )
+        forked = rejection_rate_experiment(cfg, threads=2)
+        assert seen["workers"] == 2
+        assert sum(len(pickle.dumps(r)) for r in seen["results"][1::2]) > 64 * 1024
+        serial = rejection_rate_experiment(cfg, threads=1)
+        assert forked.cells == serial.cells
+        assert forked.baseline == serial.baseline
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="workers are forked"
