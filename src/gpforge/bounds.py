@@ -296,7 +296,10 @@ def preconditioned_condition_bound(
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if sigma_xi2 <= 0 or not 0 < eta <= 1:
         raise ValueError("need sigma_xi2 > 0 and eta in (0, 1]")
-    return 1.0 + 2.0 * lambda_kp1 * math.sqrt(4.0 * k * (n - k) + 1.0) / (eta * sigma_xi2)
+    return _finite(
+        "kappa_bound",
+        lambda: 1.0 + 2.0 * lambda_kp1 * math.sqrt(4.0 * k * (n - k) + 1.0) / (eta * sigma_xi2),
+    )
 
 
 def ciq_error_bound(
@@ -327,7 +330,7 @@ def kl_frobenius_bound(E_frobenius: float, sigma_xi2: float) -> float:
         raise ValueError(f"norm must be >= 0, got {E_frobenius}")
     if sigma_xi2 <= 0:
         raise ValueError(f"sigma_xi2 must be > 0, got {sigma_xi2}")
-    return E_frobenius**2 / (4.0 * sigma_xi2**2)
+    return _finite("kl_bound", lambda: E_frobenius**2 / (4.0 * sigma_xi2**2))
 
 
 def tv_from_kl(kl: float) -> float:

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import warnings
-from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import precond as precond_mod
 from .bounds import DEFAULT_DELTA, DEFAULT_EPSILON, DEFAULT_ETA, DecayModel, FidelitySpec
-from .exact import GpSample, SampleMethod, cholesky_factor, whiten
+from .exact import SampleMethod, cholesky_factor, whiten
 from .kernel import InputData, KernelParams, gram, json_value, sample_inputs
 from .stats import (
     DEFAULT_ALPHA,
@@ -180,28 +179,11 @@ def _inputs_sha256(X: InputData) -> str:
     return hashlib.sha256(np.ascontiguousarray(X.points).tobytes()).hexdigest()
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable]) -> None:
-    Path(path).write_text("\n".join(_csv_lines(header, rows)) + "\n")
-
-
-def _write_sample(sample: GpSample, X: InputData, output: str) -> None:
-    _write_csv(output, ["index", "y"], enumerate(sample.y.tolist()))
-    sidecar = {
-        "method": sample.method.value,
-        "params": sample.params.to_dict(),
-        "fidelity": dataclasses.asdict(sample.fidelity),
-        "seed": sample.seed,
-        "n": sample.n,
-        "inputs_sha256": _inputs_sha256(X),
-    }
-    if sample.solver is not None:
-        sidecar["solver"] = {
-            "iterations": sample.solver.iterations_run,
-            "max_residual": float(np.max(sample.solver.residual_norms)),
-            "converged": bool(np.all(sample.solver.converged)),
-            "breakdown": sample.solver.breakdown,
-        }
-    Path(output + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+def _write_outputs(path: str, lines: list[str], doc: str | None = None) -> None:
+    """Write the lines to path, then doc to path + ".json" if given, each with a final newline."""
+    Path(path).write_text("\n".join(lines) + "\n")
+    if doc is not None:
+        Path(path + ".json").write_text(doc + "\n")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -235,7 +217,23 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if X is None:
         X = sample_inputs(n, params, seed)
     sample = draw(method, X, params, fidelity, seed)
-    _write_sample(sample, X, args.output)
+    sidecar = {
+        "method": sample.method.value,
+        "params": sample.params.to_dict(),
+        "fidelity": dataclasses.asdict(sample.fidelity),
+        "seed": sample.seed,
+        "n": sample.n,
+        "inputs_sha256": _inputs_sha256(X),
+    }
+    if sample.solver is not None:
+        sidecar["solver"] = {
+            "iterations": sample.solver.iterations_run,
+            "max_residual": float(np.max(sample.solver.residual_norms)),
+            "converged": bool(np.all(sample.solver.converged)),
+            "breakdown": sample.solver.breakdown,
+        }
+    lines = _csv_lines(["index", "y"], enumerate(sample.y.tolist()))
+    _write_outputs(args.output, lines, json.dumps(sidecar, indent=2))
     if sample.solver is not None and not np.all(sample.solver.converged):
         print(
             f"warning: the shifted solves did not converge in J={sample.fidelity.J} iterations; "
@@ -294,9 +292,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if threads < 1:
         raise UsageError(f"--threads must be >= 1, got {threads}")
     report = rejection_rate_experiment(config, threads=threads)
-    out = Path(config.output)
-    out.write_text("\n".join(report_csv_lines(report)) + "\n")
-    Path(str(out) + ".json").write_text(report_to_json(report) + "\n")
+    _write_outputs(config.output, report_csv_lines(report), report_to_json(report))
     failed = [c for c in report.cells if c.failed]
     for cell in failed:
         print(
@@ -317,7 +313,7 @@ def cmd_precond_sweep(args: argparse.Namespace) -> int:
     if not all(math.isfinite(ls) and ls > 0 for ls in lengthscales):
         raise UsageError(f"--lengthscales must be finite and > 0, got {args.lengthscales}")
     rows = precond_mod.effectiveness_sweep(n_list, lengthscales, params, seed)
-    _write_csv(args.output, ["n", "lengthscale", "metric"], rows)
+    _write_outputs(args.output, _csv_lines(["n", "lengthscale", "metric"], rows))
     return 0
 
 

@@ -315,10 +315,9 @@ def _plan_cell(
 
 def _run_repeats(
     config: ExperimentConfig, cells: tuple[ExperimentCell, ...], seed_path: tuple[int, int],
-    start: int, stop: int,
+    repeats: range,
 ) -> list[tuple[list[bool], dict[str, float], tuple[int, str] | None]]:
-    """Generate, whiten and test repeats start..stop-1 of the planned cells
-    at one n.
+    """Generate, whiten and test the given repeats of the planned cells at one n.
 
     A repeat draws the inputs X and assembles K_xi once, makes each rff
     draw on X and every ciq or pciq draw through one ciq_sample call at
@@ -331,8 +330,8 @@ def _run_repeats(
     one runner that times it and, if it raises, fails the cells that
     share it: a draw, whitening or test only its own cell, the quadrature
     call every ciq or pciq cell, and inputs, assembly or factor every
-    cell still running, which ends the chunk. A shared stage's seconds
-    are split evenly over the cells that ran it.
+    cell still running, which leaves no repeat to run. A shared stage's
+    seconds are split evenly over the cells that ran it.
     """
     params = config.params
     rejects: list[list[bool]] = [[] for _ in cells]
@@ -355,7 +354,7 @@ def _run_repeats(
                 seconds[k][stage] += (now - last) / len(among)
             last = now
 
-    for r in range(start, stop):
+    for r in repeats:
         live = [k for k, failure in enumerate(failures) if failure is None]
         if not live:
             break
@@ -367,7 +366,7 @@ def _run_repeats(
         K_xi = None if X is None else run(
             live, r, "assemble", gram, X, params, jitter=params.noise_variance
         )
-        if K_xi is None:  # a failed shared stage ends the chunk
+        if K_xi is None:  # a failed shared stage failed every live cell: none is left to run
             break
         for k in cells_of[SampleMethod.Rff]:
             samples[k] = run([k], r, "draw", rff_sample, X, params, cells[k].ran.D, seed)
@@ -552,25 +551,24 @@ def rejection_rate_experiment(
     inputs, K_xi and Cholesky factor, and each grid cell's rejections
     pair with the baseline's: `mcnemar_p` is McNemar's exact test on
     them. An exact sweep is its own baseline, with seeds from
-    (base_seed, 0, i, repeat). Results do not depend on execution order
-    or on the number of workers. A failing cell is recorded as failed
-    and the sweep continues.
+    (base_seed, 0, i, repeat). Results do not depend on execution order,
+    on the number of workers or on the caller's OpenBLAS thread count. A
+    failing cell is recorded as failed and the sweep continues.
 
-    The repeats at each n are split into contiguous chunks of
-    ceil(repeats / (4 * threads)), so that chunks spread over the
-    workers. threads caps the worker processes, this one included: a
-    sweep whose estimated serial work is too small to pay for a fork,
-    and every sweep at threads=1, runs its chunks in this process (also
-    where fork is missing); a larger one deals them round-robin to
-    w = min(threads, chunks) workers, this process and w - 1 forked
-    children. Either way every loaded OpenBLAS runs one thread while the
-    chunks run, and the caller's counts come back after, also on error;
-    the children inherit the one thread, and no other thread of the
-    caller may run BLAS meanwhile. The report does not depend on which
-    path ran, nor on the caller's OpenBLAS thread count. A child that
-    dies fails the cells whose chunks it did not return, and the sweep
-    still returns its report; no child outlives the call. threads below
-    1 raises ValueError.
+    threads caps the workers, this process included: w = min(threads,
+    sizes * repeats), or 1 at threads=1 and for a sweep whose estimated
+    serial work is too small to pay for a fork. The (size i, repeat r)
+    pairs are dealt round-robin in size-then-repeat order, one task per
+    size and worker: worker v runs range((v - i * repeats) % w, repeats,
+    w) at size i. This process is worker 0 and forked children are the
+    others, where the platform can fork. Every loaded OpenBLAS runs one
+    thread while the tasks run, and the caller's counts come back after,
+    also on error; the children inherit the one thread, and no other
+    thread of the caller may run BLAS meanwhile. A child that dies fails
+    the cells whose tasks it did not return, and the sweep still returns
+    its report; no child outlives the call. threads below 1 raises
+    ValueError, and repeats that no float holds OverflowError, before any
+    repeat runs.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -586,28 +584,31 @@ def rejection_rate_experiment(
         ]
 
     repeats = config.repeats
-    size = math.ceil(repeats / (4 * threads))
-    tasks, members, work = [], [], 0  # members: the plans a task runs, in its order
-    for i in range(len(config.n_list)):
-        at_n = [k for k, (j, cell) in enumerate(plans) if j == i and not cell.failed]
-        planned, seed_path = tuple(plans[k][1] for k in at_n), (0 if exact else _BASELINE_TAG, i)
-        for start in range(0, repeats, size):
-            tasks.append((config, planned, seed_path, start, min(start + size, repeats)))
-            members.append(at_n)
-        work += repeats * _repeat_work(planned)
+    float(repeats)  # a count no float holds raises OverflowError here, not after the repeats
+    members = [  # the plans each size runs, in order
+        [k for k, (j, cell) in enumerate(plans) if j == i and not cell.failed]
+        for i in range(len(config.n_list))
+    ]
+    planned = [tuple(plans[k][1] for k in at_n) for at_n in members]
+    work = repeats * sum(map(_repeat_work, planned))
+    workers = min(threads, len(planned) * repeats) if work >= _POOL_MIN_WORK else 1
+    tasks = [  # task i * workers + v runs worker v's repeats at size i
+        (config, cells, (0 if exact else _BASELINE_TAG, i),
+         range((v - i * repeats) % workers, repeats, workers))
+        for i, cells in enumerate(planned) for v in range(workers)
+    ]
 
-    workers = min(threads, len(tasks)) if work >= _POOL_MIN_WORK else 1
-    rejects = [[] for _ in plans]  # each plan's rejections, in repeat order
+    rejects = [[] for _ in plans]  # each plan's rejections, in task order, as its baseline's
     seconds = [dict.fromkeys(_STAGES, 0.0) for _ in plans]
-    failures = [None] * len(plans)  # each plan's first failure: chunks come in repeat order
-    for task, at_n, outcome in zip(tasks, members, _run_tasks(tasks, workers)):
-        *_, start, stop = task
-        died = ([], {}, (start, f"a worker process died running repeats {start}-{stop - 1}"))
-        for k, (rejected, spent, failure) in zip(at_n, outcome or [died] * len(at_n)):
+    failures = [None] * len(plans)  # each plan's lowest failing repeat and its message
+    for t, outcome in enumerate(_run_tasks(tasks, workers)):
+        at_n, run = members[t // workers], tasks[t][-1]
+        died = (run[0], f"a worker process died running the repeats in {run}") if run else None
+        for k, (rejected, spent, failure) in zip(at_n, outcome or [([], {}, died)] * len(at_n)):
             rejects[k] += rejected
             for stage, s in spent.items():
                 seconds[k][stage] += s
-            failures[k] = failures[k] or failure
+            failures[k] = min(filter(None, (failures[k], failure)), default=None)
 
     cells, timing = [], []
     for k, (i, cell) in enumerate(plans):

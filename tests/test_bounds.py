@@ -21,6 +21,7 @@ from gpforge import (
     kl_frobenius_bound,
     kl_gaussian_marginal,
     precond_min_iterations,
+    preconditioned_condition_bound,
     rff_element_budget,
     rff_min_features,
     sample_inputs,
@@ -259,6 +260,17 @@ def test_value_that_is_not_finite_is_refused(value):
     bound came back inf: each is ValueError now."""
     with pytest.raises(ValueError, match="not a finite number"):
         value()
+
+
+def test_a_bound_whose_divisor_underflows_to_zero_is_refused():
+    """eta * sigma_xi2 = 0.5 * 5e-324 and the square of 1e-200 round to zero:
+    the preconditioned condition bound and the Frobenius KL bound refuse
+    them with ValueError, as every calculator refuses a value that is not
+    finite, where a bare division would raise ZeroDivisionError."""
+    with pytest.raises(ValueError, match="kappa_bound is not a finite number"):
+        preconditioned_condition_bound(1.0, 100, 0.5, 5e-324, 10)
+    with pytest.raises(ValueError, match="kl_bound is not a finite number"):
+        kl_frobenius_bound(1.0, 1e-200)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpforge
@@ -381,7 +381,7 @@ def test_a_shared_solve_that_raises_fails_each_quadrature_cell(monkeypatch):
     """When a repeat's one quadrature call raises, every ciq cell fails
     with its message, and the exact baseline is that of a clean run. The
     call is not retried for each cell, whose own draw would run the same
-    checks on the same numerics: it is made once per (n, chunk)."""
+    checks on the same numerics: it is made once per n."""
     config = ExperimentConfig(
         method=SampleMethod.Ciq, n_list=(16, 24), params=PARAMS, fidelity_grid=(4.0, 8.0, 20.0),
         repeats=3,
@@ -397,7 +397,7 @@ def test_a_shared_solve_that_raises_fails_each_quadrature_cell(monkeypatch):
     report = rejection_rate_experiment(config, threads=1)
     assert all(cell.failed and cell.message == "shared solve failed" for cell in report.cells)
     assert report.baseline == clean.baseline
-    assert len(calls) == 2 * 3  # 2 sizes, in chunks of ceil(3 / 4) = 1 repeat
+    assert len(calls) == 2  # 2 sizes, one task each at threads=1
 
 
 @pytest.mark.parametrize("stage", ["sample_inputs", "gram", "cholesky_factor"])
@@ -405,8 +405,8 @@ def test_a_shared_stage_that_raises_fails_every_cell_at_its_size(monkeypatch, st
     """When a repeat's inputs, assembly or factor raise at n = 12 only,
     every cell at 12, its baseline included, fails with that message, and
     the cells at 8 are those of a clean run. A failed shared stage ends
-    its chunk: each of the 4 chunks of 2 repeats at n = 12 runs the stages
-    up to the failing one once, and nothing after it."""
+    its task: the one task of 8 repeats at n = 12 runs the stages up to
+    the failing one once, and nothing after it."""
     config = ExperimentConfig(
         method=SampleMethod.Rff, n_list=(8, 12), params=PARAMS, fidelity_grid=(4.0, 16.0),
         repeats=8,
@@ -431,7 +431,7 @@ def test_a_shared_stage_that_raises_fails_every_cell_at_its_size(monkeypatch, st
     repeat = [
         "sample_inputs", "gram", "rff_sample", "rff_sample", "cholesky_factor", "exact_sample"
     ]
-    assert log == repeat * 8 + repeat[: repeat.index(stage) + 1] * 4
+    assert log == repeat * 8 + repeat[: repeat.index(stage) + 1] * 1
 
 
 def test_a_cell_keeps_its_own_failure_when_the_factor_fails_after_it(monkeypatch):
@@ -459,9 +459,9 @@ def test_a_cell_keeps_its_own_failure_when_the_factor_fails_after_it(monkeypatch
 
 
 def test_a_chunk_whose_draws_all_fail_stops(monkeypatch):
-    """When every draw raises, each chunk makes one draw call per cell, at
-    its first repeat, and stops there: 8 repeats in chunks of 2 draw the
-    inputs 4 times, not 8."""
+    """When every draw raises, each task makes one draw call per cell, at
+    its first repeat, and stops there: 8 repeats in one task draw the
+    inputs once, not 8 times."""
     draws = []
 
     def failing(*args):
@@ -476,8 +476,8 @@ def test_a_chunk_whose_draws_all_fail_stops(monkeypatch):
     )
     report = rejection_rate_experiment(config, threads=1)
     assert all(c.failed and c.message == "no draw" for c in report.cells + report.baseline)
-    assert len(draws) == 4 * 3
-    assert len(inputs) == 4
+    assert len(draws) == 3
+    assert len(inputs) == 1
 
 
 def test_mcnemar_p_on_a_hand_built_table():
@@ -608,7 +608,7 @@ def test_a_sweep_holds_one_gram_buffer_per_repeat():
     """The factor is written over K_xi's buffer, and a repeat lets its
     buffer go before the next repeat assembles one: an in-process sweep
     at n = 512 peaks below 1.5 times one n x n float64 array, for exact,
-    ciq and pciq. 8 repeats run in chunks of 2, so one call runs two."""
+    ciq and pciq. One call runs all 8 repeats."""
     n = 512
     for method, grid in (
         (SampleMethod.Exact, ()),
@@ -922,7 +922,7 @@ class TestRejectionRateExperiment:
 
     def test_worker_count_does_not_change_the_reports(self, monkeypatch):
         """The CSV and the JSON report less its timing are byte-identical at
-        1, 2 and 4 workers, which split each cell into chunks of 3, 2 and 1
+        1, 2 and 4 workers, which run 9, 5 or 4, and 3 or 2 of each size's 9
         repeats. That includes a grid value that does not resolve and a
         cell whose draws fail at some seeds: its message is that of its
         lowest failing repeat, as a serial loop meets it."""
@@ -957,11 +957,82 @@ class TestRejectionRateExperiment:
         messages = [c.message for c in report.cells if c.failed]
         assert len(messages) == 4 and sum(m.startswith("no draw at seed") for m in messages) == 2
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        method=st.sampled_from([SampleMethod.Rff, SampleMethod.Ciq]),
+        sizes=st.integers(1, 3),
+        repeats=st.integers(1, 13),
+        threads=st.integers(1, 3),
+        base_seed=st.integers(0, 2**16),
+    )
+    # the two workers meet the rff cell's failures at repeats 4 and 3, in that order
+    @example(method=SampleMethod.Rff, sizes=1, repeats=5, threads=2, base_seed=2)
+    def test_any_worker_count_gives_the_one_worker_report(
+        self, method, sizes, repeats, threads, base_seed
+    ):
+        """The CSV and the JSON report less its timing are those of threads=1
+        at any sizes, repeats and worker count, forking from two workers. An
+        rff cell whose draws raise at some seeds fails with its lowest
+        failing repeat's message, wherever the workers met its failures."""
+        rff = stats_module.rff_sample
+
+        def failing_rff(X, params, D, seed):
+            if D == 4 and seed % 3 == 0:
+                raise ValueError(f"no draw at seed {seed}")
+            return rff(X, params, D, seed)
+
+        cfg = ExperimentConfig(
+            method=method, n_list=(8, 12, 16)[:sizes], params=PARAMS,
+            fidelity_grid=(4.0, 16.0), repeats=repeats, base_seed=base_seed,
+        )
+        with (
+            unittest.mock.patch.object(stats_module, "rff_sample", failing_rff),
+            unittest.mock.patch.object(stats_module, "_POOL_MIN_WORK", 0),
+        ):
+            serial = rendered(rejection_rate_experiment(cfg, threads=1))
+            assert rendered(rejection_rate_experiment(cfg, threads=threads)) == serial
+
+    def test_a_sweep_deals_its_repeats_round_robin_one_task_per_size_and_worker(
+        self, monkeypatch
+    ):
+        """At threads=1 each size is one task of all its repeats. At threads=3,
+        sizes (8, 12) and 7 repeats, the 14 (size, repeat) pairs are dealt to
+        the workers in size-then-repeat order: task i * 3 + w runs worker w's
+        repeats at size i, and no worker runs more than one task per size."""
+        run_tasks, seen = stats_module._run_tasks, []
+
+        def recording_run_tasks(tasks, workers):
+            seen.append((workers, [task[-1] for task in tasks]))
+            return run_tasks(tasks, workers)
+
+        monkeypatch.setattr(stats_module, "_run_tasks", recording_run_tasks)
+        cfg = ExperimentConfig(
+            method=SampleMethod.Rff, n_list=(8, 12), params=PARAMS,
+            fidelity_grid=(4.0,), repeats=7, base_seed=1,
+        )
+        rejection_rate_experiment(cfg, threads=1)
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)  # real workers, at any size
+        rejection_rate_experiment(cfg, threads=3)
+        assert seen[0] == (1, [range(0, 7), range(0, 7)])
+        assert seen[1] == (3, [range((w - 7 * i) % 3, 7, 3) for i in range(2) for w in range(3)])
+
+    def test_a_repeats_count_no_float_holds_is_refused_before_any_task(self, monkeypatch):
+        """10^400 repeats, which no float holds, raise OverflowError before
+        any task is run, where the repeats would otherwise run without end."""
+        monkeypatch.setattr(stats_module, "_run_tasks", no_pool)
+        monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)
+        cfg = ExperimentConfig(
+            method=SampleMethod.Exact, n_list=(8,), params=PARAMS, repeats=10**400, base_seed=1
+        )
+        for threads in (1, 2):
+            with pytest.raises(OverflowError, match="too large"):
+                rejection_rate_experiment(cfg, threads=threads)
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="workers are forked"
     )
     def test_dead_worker_fails_its_cells_and_the_sweep_returns(self, monkeypatch):
-        """A worker process that dies fails the cells whose chunks did not
+        """A worker process that dies fails the cells whose tasks did not
         return; the sweep still returns a report that renders."""
         rff = stats_module.rff_sample
         caller = os.getpid()
@@ -1018,7 +1089,7 @@ class TestRejectionRateExperiment:
     )
     def test_a_child_whose_results_overfill_its_pipe_returns_them_all(self, monkeypatch):
         """A child's results wait in its pipe, which holds 64 KiB, until the
-        caller's own share ends. At 50 rff cells and 6 sizes the child's share,
+        caller's own share ends. At 50 rff cells and 18 sizes the child's share,
         tasks[1::2], returns more than that; the child blocks on a full pipe
         and the sweep still gives the report of an in-process one."""
         run_tasks, seen = stats_module._run_tasks, {}
@@ -1030,7 +1101,7 @@ class TestRejectionRateExperiment:
         monkeypatch.setattr(stats_module, "_run_tasks", recording_run_tasks)
         monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)  # real workers, at any size
         cfg = ExperimentConfig(
-            method=SampleMethod.Rff, n_list=(4, 5, 6, 7, 8, 9), params=PARAMS,
+            method=SampleMethod.Rff, n_list=tuple(range(4, 22)), params=PARAMS,
             fidelity_grid=tuple(float(D) for D in range(2, 101, 2)), repeats=8, base_seed=7,
         )
         forked = rejection_rate_experiment(cfg, threads=2)
