@@ -44,16 +44,6 @@ SCHEMA_VERSION = 1
 _DEFAULT_PARAMS = KernelParams(variance=1.0, lengthscale=1.0, noise_variance=0.25, dim=2)
 _METHODS = sorted(m.value for m in SampleMethod)
 
-# the methods each optional fidelity flag of `sample` applies to
-_SAMPLE_FLAG_METHODS = {
-    "features": ("rff",),
-    "rank": ("pciq",),
-    "eta": ("ciq", "pciq"),
-    "eps": ("ciq", "pciq"),
-    "quadrature": ("ciq", "pciq"),
-    "iterations": ("ciq", "pciq"),
-}
-
 
 class UsageError(ValueError):
     """Invalid flags or configuration; maps to exit code 2."""
@@ -102,39 +92,30 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     method = SampleMethod(args.method)
     params = _params_from_args(args)
     sigma_xi2 = params.noise_variance
-    payload: dict[str, object] = {
-        "method": args.method,
-        "n": args.n,
-        "epsilon": args.eps,
-        "delta": args.delta,
-        "delta_Q": None,
-        "eta": args.eta,
-        "D": None,
-        "Q": None,
-        "J": None,
-        "kappa_bound": None,
-        "regime": None,
-    }
     try:
-        FidelitySpec(epsilon=args.eps, delta=args.delta)  # refuses a bad budget for any method
-        payload["kappa_bound"] = bounds_mod.condition_number_bound(
-            args.n, args.eta, sigma_xi2, params.variance
-        )
+        spec = FidelitySpec(epsilon=args.eps, delta=args.delta)  # refuses a bad eps or delta
+        kappa = bounds_mod.condition_number_bound(args.n, args.eta, sigma_xi2, params.variance)
         model = DecayModel(
             c1=args.c1, c2=args.c2, sigma_f=math.sqrt(params.variance), dim=params.dim
         )
-        payload["regime"] = bounds_mod.decay_regime(args.n, model)[1]
+        regime = bounds_mod.decay_regime(args.n, model)[1]
         if method is SampleMethod.Rff:
-            payload["D"] = bounds_mod.rff_min_features(args.n, args.eps, args.delta, sigma_xi2)
+            D = bounds_mod.rff_min_features(args.n, args.eps, args.delta, sigma_xi2)
+            spec = dataclasses.replace(spec, D=D)
         elif method is not SampleMethod.Exact:
             budget = (args.n, params, args.eps, args.eta, args.delta_q)
             if method is SampleMethod.Ciq:
                 spec = FidelitySpec.for_ciq(*budget)
             else:
                 spec = FidelitySpec.for_pciq(*budget, args.c1, args.c2, args.c_tilde)
-            payload.update(delta_Q=spec.delta_Q, Q=spec.Q, J=spec.J)
     except (ValueError, OverflowError) as exc:  # a size no float holds is out of range too
         raise UsageError(str(exc)) from exc
+    fidelity = {**dataclasses.asdict(spec), "delta": args.delta, "eta": args.eta}
+    del fidelity["rank"]
+    payload = {
+        "method": args.method, "n": args.n, **fidelity,
+        "kappa_bound": kappa, "regime": regime,
+    }
     print(json.dumps(payload, indent=None if args.json else 2))
     return 0
 
@@ -199,14 +180,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
         n = X.n
     elif args.n is None:
         raise UsageError("either --n or --inputs is required")
-    for flag, methods in _SAMPLE_FLAG_METHODS.items():
-        if getattr(args, flag) is not None and args.method not in methods:
-            raise UsageError(f"--{flag} does not apply to the {args.method} method")
-    if method is SampleMethod.Rff:
-        if args.features is None:
-            raise UsageError("--features is required for the rff method")
-        if args.features % 2 != 0 or args.features < 2:
-            raise UsageError(f"--features must be an even count >= 2, got {args.features}")
     try:
         fidelity = resolve_fidelity(
             method, n, params, D=args.features, Q=args.quadrature, J=args.iterations,
@@ -397,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--output", required=True, help="sample CSV path")
     p_sample.add_argument("--features", type=int, default=None, help="rff feature count D")
     p_sample.add_argument("--eta", type=float, help=f"ciq noise split [{DEFAULT_ETA}]")
-    p_sample.add_argument("--eps", type=float, help=f"ciq default budget [{DEFAULT_EPSILON}]")
+    p_sample.add_argument("--eps", type=float, help=f"ciq budget epsilon [{DEFAULT_EPSILON}]")
     p_sample.add_argument(
         "--quadrature", type=int, help="ciq node count Q [sized]; ciq's J is then sized at this Q"
     )

@@ -120,7 +120,10 @@ def effectiveness_sweep(
     for n in n_list:
         for ls in lengthscale_grid:
             params = replace(params_base, lengthscale=ls)
-            cell_seed = _streams.derive_seed(seed, n, int(1e9 * ls) & ((1 << 60) - 1))
+            # a scaled lengthscale from 2**112 up tags 0 under the mask, one that overflows too
+            scaled = 1e9 * ls
+            tag = int(scaled) & ((1 << 60) - 1) if np.isfinite(scaled) else 0
+            cell_seed = _streams.derive_seed(seed, n, tag)
             K = gram(sample_inputs(n, params, cell_seed), params, jitter=params.noise_variance)
             P = nystrom_factor(K, default_rank(n))
             rows.append((n, ls, _power_iteration_deviation(K.entries, P, cell_seed)))

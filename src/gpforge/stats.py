@@ -26,7 +26,7 @@ import scipy.special
 
 from . import _streams
 from .bounds import DEFAULT_EPSILON, DEFAULT_ETA, FidelitySpec
-from .ciq import ciq_sample
+from .ciq import _J_PER_POINT, ciq_sample
 from .exact import GpSample, SampleMethod, cholesky_factor, exact_sample, whiten
 from .kernel import InputData, KernelParams, gram, json_object, json_value, sample_inputs
 from .rff import rff_sample
@@ -214,6 +214,15 @@ def fidelity_rescaler(method: SampleMethod, n: int) -> float | None:
     return None
 
 
+# the fidelity values each method takes; resolve_fidelity refuses any other
+_FIDELITY_VALUES = {
+    SampleMethod.Exact: (),
+    SampleMethod.Rff: ("D",),
+    SampleMethod.Ciq: ("Q", "J", "eta", "epsilon"),
+    SampleMethod.CiqPreconditioned: ("Q", "J", "eta", "epsilon", "rank"),
+}
+
+
 def resolve_fidelity(
     method: SampleMethod,
     n: int,
@@ -227,14 +236,19 @@ def resolve_fidelity(
 ) -> FidelitySpec:
     """Check every fidelity value of `method` at size n and fill the defaults.
 
-    rff needs D. ciq and pciq take a missing eta as DEFAULT_ETA and a
-    missing epsilon as DEFAULT_EPSILON, and pass a given Q and J to
+    rff takes D and needs it, ciq takes Q, J, eta and epsilon, pciq those
+    and rank, and exact none. ciq and pciq take a missing eta as DEFAULT_ETA
+    and a missing epsilon as DEFAULT_EPSILON, and pass a given Q and J to
     FidelitySpec.for_ciq (ciq) or FidelitySpec.for_pciq (pciq), which size
     only the one missing at budget epsilon; with both given, nothing is
     sized. pciq takes a missing rank from default_rank(n), and its J reads
-    neither Q nor the rank asked for. Values a method does not use are
-    ignored. Raises ValueError on any invalid value, before any sampling work.
+    neither Q nor the rank asked for. Raises ValueError, before any sizing,
+    on a value the method does not take, naming each, and on any invalid one.
     """
+    given = {"D": D, "Q": Q, "J": J, "eta": eta, "epsilon": epsilon, "rank": rank}
+    foreign = [k for k, v in given.items() if v is not None and k not in _FIDELITY_VALUES[method]]
+    if foreign:
+        raise ValueError(f"the {method.value} method takes no {', '.join(foreign)}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if method is SampleMethod.Exact:
@@ -286,16 +300,16 @@ def _plan_cell(
         fidelity = grid_value * rescaler
     ran, message = None, ""
     try:
-        # grid values become counts here: D to an even integer >= 2, J to an integer >= 1
-        D = J = None
+        # grid values become counts here: D to an even integer >= 2, and J to an
+        # integer in [1, _J_PER_POINT * n], the most iterations a solve runs
+        values = {}
         if method is SampleMethod.Rff:
             D = max(2, round(fidelity))
-            D += D % 2
-        elif fidelity is not None:
-            J = max(1, round(fidelity))
-        ran = resolve_fidelity(
-            method, n, config.params, D=D, J=J, eta=config.eta, epsilon=config.epsilon
-        )
+            values = {"D": D + D % 2}
+        elif method is not SampleMethod.Exact:
+            J = min(max(1, round(fidelity)), _J_PER_POINT * n)
+            values = {"J": J, "eta": config.eta, "epsilon": config.epsilon}
+        ran = resolve_fidelity(method, n, config.params, **values)
     except Exception as exc:  # any value that does not resolve fails only its cell
         message = str(exc)
     return ExperimentCell(

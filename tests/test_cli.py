@@ -129,7 +129,20 @@ def test_sample_rff_odd_feature_count_exits_two(tmp_path, capsys):
         "--output", str(tmp_path / "s.csv"),
     )
     assert rc == 2
-    assert "error: --features must be an even count >= 2, got 7" in err
+    assert "error: D must be an even count >= 2, got 7" in err
+
+
+@pytest.mark.parametrize("features", ["0", "1", "-2"])
+def test_sample_rff_feature_count_below_two_exits_two(tmp_path, capsys, features):
+    out = tmp_path / "s.csv"
+    rc, _, err = run(
+        capsys,
+        "sample", "--method", "rff", "--n", "8", "--features", features, "--output", str(out),
+    )
+    assert rc == 2
+    assert_one_error_line(err)
+    assert f"error: D must be an even count >= 2, got {features}" in err
+    assert not out.exists()
 
 
 def test_sample_rff_requires_features_flag(tmp_path, capsys):
@@ -138,7 +151,7 @@ def test_sample_rff_requires_features_flag(tmp_path, capsys):
         "sample", "--method", "rff", "--n", "8", "--output", str(tmp_path / "s.csv"),
     )
     assert rc == 2
-    assert "--features" in err
+    assert "error: the rff method needs a feature count D" in err
 
 
 def test_sample_ciq_default_fidelity_golden(tmp_path, capsys):
@@ -539,8 +552,9 @@ HUGE = str(10**400)  # an int no float holds
 )
 def test_an_integer_flag_too_large_for_a_float_is_one_error_line(tmp_path, capsys, argv, code):
     """An integer flag that overflows a float where it meets one (the
-    decay regime's root, the rff feature scale, the chunk size, the
-    growth-law rescaler) is one error line, never a traceback: exit 2 for
+    decay regime's root, the rff feature scale, the sweep's refusal of a
+    repeats count no float holds, the growth-law rescaler) is one error
+    line, never a traceback: exit 2 for
     `bounds`, whose refusals are usage errors, and exit 1 for the rest."""
     rc, _, err = run(capsys, *[a.format(out=tmp_path / "o.csv") for a in argv])
     assert rc == code
@@ -763,6 +777,15 @@ def test_experiment_defaults_its_workers_to_the_usable_cpus(tmp_path, capsys, mo
         "--output", str(out),
     )
     assert rc == 0 and caps == [1]
+
+
+@pytest.mark.parametrize("cpu_count, usable", [(6, 6), (None, 1)])
+def test_usable_cpus_without_an_affinity_call_is_the_cpu_count(monkeypatch, cpu_count, usable):
+    """Where the platform has no os.sched_getaffinity, the usable CPUs are
+    os.cpu_count(), or 1 when that cannot tell."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert cli._usable_cpus() == usable
 
 
 def test_experiment_refuses_a_grid_for_the_exact_method(tmp_path, capsys):
@@ -1008,6 +1031,21 @@ def test_precond_sweep_grid_shape_and_determinism(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_precond_sweep_at_a_lengthscale_whose_seed_product_overflows(tmp_path, capsys):
+    """1e9 * 1e300 overflows the float the cell seed is derived from; the
+    sweep still writes that row, and the other rows keep their seeds."""
+    out = tmp_path / "p.csv"
+    rc, _, err = run(
+        capsys, "precond-sweep", "--n-list", "8", "--lengthscales", "0.5,1e300",
+        "--output", str(out),
+    )
+    assert (rc, err) == (0, "")
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert rows[:, :2].tolist() == [[8, 0.5], [8, 1e300]]
+    assert np.all(np.isfinite(rows[:, 2]))
+    assert rows[0, 2] == gpforge.effectiveness_sweep([8], [0.5], cli._DEFAULT_PARAMS, 0)[0][2]
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -1084,7 +1122,7 @@ def test_sample_flag_for_another_method_exits_two(tmp_path, capsys, method, flag
     )
     assert rc == 2
     assert_one_error_line(err)
-    assert "does not apply" in err
+    assert f"error: the {method} method takes no " in err
     assert not out.exists()
 
 

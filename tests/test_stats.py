@@ -199,6 +199,38 @@ class TestResolveFidelity:
         with pytest.raises(ValueError):
             resolve_fidelity(method, params=PARAMS, **{"n": 16, **kwargs})
 
+    @pytest.mark.parametrize("method", list(SampleMethod))
+    def test_refuses_each_value_its_method_does_not_take(self, method):
+        """Each value outside the method's table is refused with ValueError
+        naming it, alone or beside the method's own values, before any
+        sizing; given together, the message names every one. The values
+        are in range, so only the table refuses them."""
+        values = {"D": 16, "Q": 3, "J": 20, "eta": 0.3, "epsilon": 0.2, "rank": 4}
+        takes = {
+            SampleMethod.Exact: (),
+            SampleMethod.Rff: ("D",),
+            SampleMethod.Ciq: ("Q", "J", "eta", "epsilon"),
+            SampleMethod.CiqPreconditioned: ("Q", "J", "eta", "epsilon", "rank"),
+        }[method]
+        own = {k: v for k, v in values.items() if k in takes}
+        foreign = [k for k in values if k not in takes]
+        prefix = f"the {method.value} method takes no "
+        with contextlib.ExitStack() as stack:
+            sizers = [
+                stack.enter_context(unittest.mock.patch.object(FidelitySpec, name))
+                for name in ("for_ciq", "for_pciq")
+            ]
+            for name in foreign:
+                for given in ({name: values[name]}, {**own, name: values[name]}):
+                    with pytest.raises(ValueError) as info:
+                        resolve_fidelity(method, 16, PARAMS, **given)
+                    assert str(info.value) == prefix + name
+            with pytest.raises(ValueError) as info:
+                resolve_fidelity(method, 16, PARAMS, **values)
+            assert str(info.value) == prefix + ", ".join(foreign)
+        assert not any(sizer.called for sizer in sizers)
+        resolve_fidelity(method, 16, PARAMS, **own)  # the method's own values resolve
+
     @pytest.mark.parametrize("n, J", [(256, 395), (2048, 1326)])
     def test_a_given_q_sizes_ciq_j_at_that_q(self, n, J):
         """ciq's J is sized at the Q given, not at the calculator's Q = 3,
@@ -252,13 +284,16 @@ def test_draw_dispatches_to_each_sampler():
     X = sample_inputs(24, PARAMS, 2)
     K_xi = gram(X, PARAMS, jitter=PARAMS.noise_variance)
     cases = [
-        (SampleMethod.Exact, exact_sample(cholesky_factor(K_xi), PARAMS, 2)),
-        (SampleMethod.Rff, rff_sample(X, PARAMS, 16, 2)),
-        (SampleMethod.Ciq, ciq_sample(K_xi, PARAMS, 0.5, 3, 20, 2)),
-        (SampleMethod.CiqPreconditioned, ciq_sample(K_xi, PARAMS, 0.5, 3, 20, 2, rank=4)),
+        (SampleMethod.Exact, {}, exact_sample(cholesky_factor(K_xi), PARAMS, 2)),
+        (SampleMethod.Rff, {"D": 16}, rff_sample(X, PARAMS, 16, 2)),
+        (SampleMethod.Ciq, {"Q": 3, "J": 20}, ciq_sample(K_xi, PARAMS, 0.5, 3, 20, 2)),
+        (
+            SampleMethod.CiqPreconditioned, {"Q": 3, "J": 20, "rank": 4},
+            ciq_sample(K_xi, PARAMS, 0.5, 3, 20, 2, rank=4),
+        ),
     ]
-    for method, expected in cases:
-        fidelity = resolve_fidelity(method, 24, PARAMS, D=16, Q=3, J=20, rank=4)
+    for method, values, expected in cases:
+        fidelity = resolve_fidelity(method, 24, PARAMS, **values)
         sample = draw(method, X, PARAMS, fidelity, 2)
         assert sample.method is method
         assert sample.fidelity == expected.fidelity
@@ -542,8 +577,13 @@ def test_draws_on_a_shared_problem_equal_fresh_draws(n, seed, order):
     exact draw, are each bitwise equal to draw() on fresh inputs."""
     X = sample_inputs(n, PARAMS, seed)
     K_xi = gram(X, PARAMS, jitter=PARAMS.noise_variance)
+    values = {
+        SampleMethod.Rff: {"D": 8},
+        SampleMethod.Ciq: {"J": 12},
+        SampleMethod.CiqPreconditioned: {"J": 12, "rank": max(1, n // 4)},
+    }
     for method in order:
-        f = resolve_fidelity(method, n, PARAMS, D=8, J=12, rank=max(1, n // 4))
+        f = resolve_fidelity(method, n, PARAMS, **values[method])
         if method is SampleMethod.Rff:
             y = rff_sample(X, PARAMS, f.D, seed).y
         else:
@@ -592,9 +632,9 @@ def test_quadrature_draw_leaves_the_shared_matrix_fully_noisy():
     raises: a bad eta before anything is written, a bad rank after."""
     X = sample_inputs(40, PARAMS, 6)
     expected = gram(X, PARAMS, jitter=PARAMS.noise_variance).entries
-    for method in (SampleMethod.Ciq, SampleMethod.CiqPreconditioned):
+    for method, rank in ((SampleMethod.Ciq, {}), (SampleMethod.CiqPreconditioned, {"rank": 4})):
         K_xi = gram(X, PARAMS, jitter=PARAMS.noise_variance)
-        f = resolve_fidelity(method, 40, PARAMS, Q=3, J=20, rank=4)
+        f = resolve_fidelity(method, 40, PARAMS, Q=3, J=20, **rank)
         ciq_sample(K_xi, PARAMS, f.eta, f.Q, (f.J,), 6, f.rank)
         np.testing.assert_array_equal(K_xi.entries, expected)
     K_xi = gram(X, PARAMS, jitter=PARAMS.noise_variance)
@@ -1224,6 +1264,33 @@ class TestRejectionRateExperiment:
         assert report.cells[0].failed == fails
         assert seen and all(counts == [1] * len(openblas_controls()) for counts in seen)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_sweep_where_the_maps_file_cannot_be_read_still_reports(self, monkeypatch, threads):
+        """Where /proc/self/maps cannot be read, no OpenBLAS thread control is
+        found, and a sweep, in process or forked, leaves the thread counts
+        alone and returns the report it returns otherwise."""
+        read_text = Path.read_text
+
+        def unreadable_maps(path, *args, **kwargs):
+            if str(path) == "/proc/self/maps":
+                raise PermissionError(f"cannot read {path}")
+            return read_text(path, *args, **kwargs)
+
+        cfg = ExperimentConfig(
+            method=SampleMethod.Exact, n_list=(16, 24), params=PARAMS, repeats=3, base_seed=2
+        )
+        stats_module._openblas_thread_controls.cache_clear()
+        try:
+            monkeypatch.setattr(Path, "read_text", unreadable_maps)
+            monkeypatch.setattr(stats_module, "_POOL_MIN_WORK", 0)
+            assert stats_module._openblas_thread_controls() == ()
+            report = rejection_rate_experiment(cfg, threads=threads)
+        finally:
+            monkeypatch.undo()
+            stats_module._openblas_thread_controls.cache_clear()
+        assert not any(cell.failed for cell in report.cells)
+        assert report_csv_lines(report) == report_csv_lines(rejection_rate_experiment(cfg))
+
     @pytest.mark.parametrize("method", ["ciq", "pciq"])
     def test_whitened_draws_keep_their_bits_at_any_caller_blas_thread_count(
         self, monkeypatch, method
@@ -1423,6 +1490,26 @@ class TestRejectionRateExperiment:
         Q = FidelitySpec.for_ciq(16, PARAMS, 0.1).Q
         assert report.cells[0].ran == FidelitySpec(eta=0.5, Q=Q, J=3, rank=4)
         assert report.baseline[0].ran == FidelitySpec()
+
+    @pytest.mark.parametrize("method", [SampleMethod.Ciq, SampleMethod.CiqPreconditioned])
+    def test_a_cap_above_the_solve_limit_records_the_limit(self, monkeypatch, method):
+        """A solve runs at most 16 n iterations, so a grid J above that runs
+        to 16 n: the cell keeps its grid value, and its `ran` records 16 n,
+        the J its draws record. The caps that reach the limit share it."""
+        solves = record_calls(monkeypatch, ciq_sample)
+        config = ExperimentConfig(
+            method=method, n_list=(4,), params=PARAMS,
+            fidelity_grid=(10000.0, 64.0, 20000.0, 40.0), repeats=2,
+        )
+        report = rejection_rate_experiment(config)
+        monkeypatch.undo()
+        assert not any(cell.failed for cell in report.cells)
+        assert [cell.fidelity for cell in report.cells] == [10000.0, 64.0, 20000.0, 40.0]
+        assert [cell.ran.J for cell in report.cells] == [64, 64, 64, 40]
+        assert len(solves) == 2
+        for (_, _, _, _, caps, _, _), samples in solves:
+            assert caps == (40, 64)
+            assert [sample.fidelity.J for sample in samples] == [40, 64]
 
     def test_single_point_cell_has_no_rescaled_value(self):
         """The growth law n^2 log n is 0 at n=1; the cell runs and leaves
